@@ -1,7 +1,9 @@
 """Command-line front end: simulate | sequence | verify | render | analyze.
 
 Output is plain line-oriented text with no timestamps; exit codes are
-0 on success, 1 when a must-agree binding diverges, 2 on usage errors.
+0 on success, 1 when a must-agree binding diverges, 2 on usage errors
+and bad input (including a sequence route that cannot reach the terms
+asked for).
 """
 
 import argparse
@@ -26,6 +28,18 @@ METHOD_ORDER = ("closedform", "recurrence", "genfunc", "simulate")
 METHOD_ALIASES = {"formula": "closedform"}
 
 
+def _at_least(lo: int):
+    """argparse type: an int >= lo, rejected with exit 2 otherwise."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="toothpicks", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -33,35 +47,35 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="grow a structure or grid and print counts")
     sim.add_argument("--variant", required=True,
                      choices=sorted(set(engine.VARIANTS) | set(GRID_VARIANTS)))
-    sim.add_argument("--stages", type=int, required=True)
+    sim.add_argument("--stages", type=_at_least(0), required=True)
     sim.add_argument("--dump", metavar="PATH", help="write the sorted dump file")
 
     seq = sub.add_parser("sequence", help="print terms of a bound sequence")
     seq.add_argument("--name", required=True)
     seq.add_argument("--method", choices=("simulate", "recurrence", "formula", "genfunc", "closedform", "fixture"))
-    seq.add_argument("--terms", type=int, required=True)
+    seq.add_argument("--terms", type=_at_least(0), required=True)
     seq.add_argument("--format", default="plain", choices=("plain", "bfile", "csv"))
 
     ver = sub.add_parser("verify", help="cross-check generators against each other")
     ver.add_argument("--binding", help="verify one binding instead of all")
-    ver.add_argument("--nmax", type=int, default=256)
+    ver.add_argument("--nmax", type=_at_least(0), default=256)
     ver.add_argument("--online", action="store_true", help="allow b-file fetching")
     ver.add_argument("--json", action="store_true", help="emit a JSON report")
 
     ren = sub.add_parser("render", help="render a structure or grid as SVG")
     ren.add_argument("--variant", required=True,
                      choices=sorted(set(engine.VARIANTS) | set(GRID_VARIANTS)))
-    ren.add_argument("--stages", type=int, required=True)
+    ren.add_argument("--stages", type=_at_least(0), required=True)
     ren.add_argument("--out", required=True, metavar="FILE.svg")
     ren.add_argument("--color-mode", default="by-stage", choices=("by-stage", "monochrome"))
-    ren.add_argument("--scale", type=int, default=16)
+    ren.add_argument("--scale", type=_at_least(1), default=16)
     ren.add_argument("--show-exposed", action="store_true")
 
     ana = sub.add_parser("analyze", help="run one of the structure analyses")
     ana.add_argument("--check", required=True,
                      choices=("ratio-bound", "local-minima", "limit-sample", "rectangles", "tree"))
-    ana.add_argument("--nmax", type=int, default=256)
-    ana.add_argument("--k", type=int, default=14, help="sample exponent for limit-sample")
+    ana.add_argument("--nmax", type=_at_least(1), default=256)
+    ana.add_argument("--k", type=_at_least(1), default=14, help="sample exponent for limit-sample")
     ana.add_argument("--variant", default="uw", help="grid variant for tree checks")
     ana.add_argument("--csv", action="store_true", help="CSV output for limit-sample")
     return ap
@@ -99,14 +113,20 @@ def _cmd_sequence(args) -> int:
     if gen is None:
         print(f"binding {args.name!r} has no {method!r} generator", file=sys.stderr)
         return 2
-    if args.terms < 0:
-        print("--terms must be >= 0", file=sys.stderr)
-        return 2
     if args.terms == 0:
         return 0
-    seq = gen.make(gen.bound).truncated(gen.bound)
-    want_hi = seq.offset + args.terms - 1
-    seq = seq.truncated(want_hi)
+    # Evaluate only up to the last index asked, and refuse (printing
+    # nothing) rather than print a short prefix.
+    want_hi = gen.offset + args.terms - 1
+    if want_hi > gen.bound:
+        print(f"{args.name} {method} route reaches index {gen.bound}; "
+              f"index {want_hi} asked", file=sys.stderr)
+        return 2
+    seq = gen.make(want_hi).truncated(want_hi)
+    if seq.last_index < want_hi:
+        print(f"{args.name} {method} route ends at index {seq.last_index}; "
+              f"index {want_hi} asked", file=sys.stderr)
+        return 2
     if args.format == "plain":
         print(" ".join(str(v) for v in seq.terms))
     elif args.format == "bfile":

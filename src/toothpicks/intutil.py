@@ -45,14 +45,6 @@ def decompose_block(n: int) -> tuple[int, int]:
     return k, n - (1 << k)
 
 
-def checked_mul(a: int, b: int) -> int:
-    return check_range(a * b)
-
-
-def checked_add(a: int, b: int) -> int:
-    return check_range(a + b)
-
-
 def checked_pow(base: int, exp: int) -> int:
     """base**exp with a range check (exp >= 0)."""
     if exp < 0:

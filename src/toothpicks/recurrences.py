@@ -10,7 +10,6 @@ at powers of two).
 from dataclasses import dataclass
 
 from .intutil import UINT128_MAX, exact_div
-from .sequences import IntSequence
 
 
 def _check_prefix(values: list[int], label: str) -> list[int]:
@@ -333,7 +332,3 @@ def generic_theorem4_prefix(spec: RecurrenceSpec, n_max: int) -> list[int]:
 
 def generic_theorem4(spec: RecurrenceSpec, n: int) -> int:
     return generic_theorem4_prefix(spec, n)[n]
-
-
-def as_sequence(values: list[int], label: str) -> IntSequence:
-    return IntSequence(0, tuple(values), label, "recurrence")

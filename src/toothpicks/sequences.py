@@ -56,13 +56,15 @@ def first_divergence(a: IntSequence, b: IntSequence) -> tuple[int, int, int] | N
 
     Returns None when they agree everywhere both are defined.
     """
-    lo = max(a.offset, b.offset)
-    hi = min(a.last_index, b.last_index)
-    for n in range(lo, hi + 1):
-        va, vb = a.value(n), b.value(n)
-        if va != vb:
-            return n, va, vb
-    return None
+    rng = overlap_range(a, b)
+    if rng is None:
+        return None
+    lo, hi = rng
+    ta = a.terms[lo - a.offset : hi - a.offset + 1]
+    tb = b.terms[lo - b.offset : hi - b.offset + 1]
+    if ta == tb:
+        return None
+    return next((n, va, vb) for n, (va, vb) in enumerate(zip(ta, tb), lo) if va != vb)
 
 
 def overlap_range(a: IntSequence, b: IntSequence) -> tuple[int, int] | None:

@@ -54,17 +54,6 @@ class PowerSeries:
         n = min(self.order, other.order)
         return PowerSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
 
-    def mul(self, other: "PowerSeries") -> "PowerSeries":
-        """Truncated product; fine for occasional use, not for big orders."""
-        n = min(self.order, other.order)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a:
-                for j, b in enumerate(other.coeffs[: n - i]):
-                    if b:
-                        out[i + j] += a * b
-        return PowerSeries(out)
-
     def scale(self, c: int) -> "PowerSeries":
         return PowerSeries([c * a for a in self.coeffs])
 

@@ -9,10 +9,9 @@ expected to diverge is the Maltese CA rule, whose reconstruction drifts
 from the construction oracle at stage 18.
 """
 
-import hashlib
+import functools
 import json
 import os
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
@@ -97,6 +96,9 @@ def fetch_bfile(oeis_id: str, online: bool = False, cache_dir: str | None = None
         if os.path.exists(blob):
             with open(blob) as fh:
                 return parse_bfile(fh.read(), label=oeis_id)
+    import hashlib
+    import urllib.request
+
     url = OEIS_URL.format(id=oeis_id, num=oeis_id[1:])
     with urllib.request.urlopen(url, timeout=30) as resp:
         text = resp.read().decode()
@@ -117,7 +119,8 @@ def fetch_bfile(oeis_id: str, online: bool = False, cache_dir: str | None = None
 class Generator:
     tag: str  # simulate | recurrence | closedform | genfunc | fixture
     make: Callable[[int], IntSequence]
-    bound: int  # largest index this generator is asked for
+    bound: int  # largest index this generator is asked for, and can reach
+    offset: int = 0  # first index of the sequence it makes
 
 
 @dataclass(frozen=True)
@@ -217,16 +220,25 @@ def _from_sim(fn, label):
     return make
 
 
-def _fixture_gen(name):
-    return Generator("fixture", lambda n: load_fixture(name).truncated(n), 10**9)
+def _fixture_gen(name, offset=0):
+    return Generator("fixture", lambda n: load_fixture(name).truncated(n), 10**9, offset)
 
 
-def _structure_counts(variant, fast=None):
-    return lambda n: engine.grow(variant, n, fast=fast).added_per_stage()
+@functools.lru_cache(maxsize=64)
+def _sim_counts(variant, n, fast=None) -> IntSequence:
+    """Per-stage counts of one pure simulation, run once per (variant, n).
+
+    A str names a segment variant for `engine.grow`; anything else is a
+    cell rule for `gridca.run`.  Only the immutable counts are kept,
+    never the structure or grid, so a cache hit costs no memory.
+    """
+    if isinstance(variant, str):
+        return engine.grow(variant, n, fast=fast).added_per_stage()
+    return gridca.run(variant, n)
 
 
-def _structure_totals(variant, fast=None):
-    return lambda n: engine.grow(variant, n, fast=fast).added_per_stage().partial_sums()
+def _counts(variant, fast=None):
+    return lambda n: _sim_counts(variant, n, fast)
 
 
 def _sums(seq_fn):
@@ -272,7 +284,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "toothpick_t",
         "A139251",
         [
-            Generator("simulate", _from_sim(_structure_counts("toothpick"), "t"), SIM),
+            Generator("simulate", _from_sim(_counts("toothpick"), "t"), SIM),
             Generator(
                 "simulate",
                 _from_sim(gridca.run_toothpick_digraph, "t/digraph"),
@@ -288,7 +300,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "toothpick_T",
         "A139250",
         [
-            Generator("simulate", _from_sim(_structure_totals("toothpick"), "T"), SIM),
+            Generator("simulate", _from_sim(_sums(_counts("toothpick")), "T"), SIM),
             Generator("recurrence", _from_prefix(rec.toothpick_T_prefix, "T"), REC),
             Generator("genfunc", _from_series(series.toothpick_total_gf, "T"), GF),
             _fixture_gen("A139250"),
@@ -298,9 +310,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "corner_c",
         "A152980",
         [
-            Generator(
-                "simulate", _from_sim(_structure_counts("corner", fast=False), "c"), SIM
-            ),
+            Generator("simulate", _from_sim(_counts("corner", fast=False), "c"), SIM),
             Generator("recurrence", _from_prefix(rec.corner_c_prefix, "c"), REC),
             Generator(
                 "recurrence",
@@ -318,9 +328,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "corner_C",
         "A153006",
         [
-            Generator(
-                "simulate", _from_sim(_structure_totals("corner", fast=False), "C"), SIM
-            ),
+            Generator("simulate", _from_sim(_sums(_counts("corner", fast=False)), "C"), SIM),
             Generator("recurrence", _from_prefix(rec.corner_C_prefix, "C"), REC),
             _fixture_gen("A153006"),
         ],
@@ -329,9 +337,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "leftist_l",
         "A151565",
         [
-            Generator(
-                "simulate", _from_sim(_structure_counts("leftist", fast=False), "l"), SIM
-            ),
+            Generator("simulate", _from_sim(_counts("leftist", fast=False), "l"), SIM),
             Generator("closedform", _from_scalar(cf.leftist_l, "l"), REC),
             _fixture_gen("A151565"),
         ],
@@ -340,14 +346,8 @@ def bindings() -> dict[str, SequenceBinding]:
         "leftist_L",
         "A151566",
         [
-            Generator(
-                "simulate", _from_sim(_structure_totals("leftist", fast=False), "L"), SIM
-            ),
-            Generator(
-                "closedform",
-                _from_scalar(lambda n: sum(cf.leftist_l(i) for i in range(n + 1)), "L"),
-                4096,
-            ),
+            Generator("simulate", _from_sim(_sums(_counts("leftist", fast=False)), "L"), SIM),
+            Generator("closedform", _sums(_from_scalar(cf.leftist_l, "L")), 4096),
             _fixture_gen("A151566"),
         ],
     )
@@ -355,9 +355,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "uw_u",
         "A147582",
         [
-            Generator(
-                "simulate", _from_sim(lambda n: gridca.run(gridca.uw_von_neumann(2), n), "u"), SIM
-            ),
+            Generator("simulate", _from_sim(_counts(gridca.uw_von_neumann(2)), "u"), SIM),
             Generator("recurrence", _from_prefix(rec.uw_u_prefix, "u"), 1 << 20),
             Generator("closedform", _from_scalar(cf.uw_u, "u"), 1 << 20),
             Generator("genfunc", _from_series(series.uw_gf, "u"), GF),
@@ -368,11 +366,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "uw_U",
         "A147562",
         [
-            Generator(
-                "simulate",
-                _from_sim(lambda n: gridca.run(gridca.uw_von_neumann(2), n).partial_sums(), "U"),
-                SIM,
-            ),
+            Generator("simulate", _from_sim(_sums(_counts(gridca.uw_von_neumann(2))), "U"), SIM),
             Generator("recurrence", _from_prefix(rec.uw_U_prefix, "U"), REC),
             _fixture_gen("A147562"),
         ],
@@ -381,9 +375,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "uw_u_d1",
         None,
         [
-            Generator(
-                "simulate", _from_sim(lambda n: gridca.run(gridca.uw_von_neumann(1), n), "u1"), SIM
-            ),
+            Generator("simulate", _from_sim(_counts(gridca.uw_von_neumann(1)), "u1"), SIM),
             Generator("closedform", _from_scalar(lambda n: cf.uw_d(1, n), "u1"), REC),
         ],
     )
@@ -391,9 +383,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "uw_u_d3",
         None,
         [
-            Generator(
-                "simulate", _from_sim(lambda n: gridca.run(gridca.uw_von_neumann(3), n), "u3"), SIM
-            ),
+            Generator("simulate", _from_sim(_counts(gridca.uw_von_neumann(3)), "u3"), SIM),
             Generator("closedform", _from_scalar(lambda n: cf.uw_d(3, n), "u3"), REC),
         ],
     )
@@ -401,9 +391,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "uw_u_d4",
         None,
         [
-            Generator(
-                "simulate", _from_sim(lambda n: gridca.run(gridca.uw_von_neumann(4), n), "u4"), 64
-            ),
+            Generator("simulate", _from_sim(_counts(gridca.uw_von_neumann(4)), "u4"), 64),
             Generator("closedform", _from_scalar(lambda n: cf.uw_d(4, n), "u4"), REC),
         ],
     )
@@ -437,7 +425,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "eight_v",
         "A151726",
         [
-            Generator("simulate", _from_sim(lambda n: gridca.run(gridca.MOORE8, n), "v"), SIM),
+            Generator("simulate", _from_sim(_counts(gridca.MOORE8), "v"), SIM),
             Generator("recurrence", _from_prefix(rec.eight_v_prefix, "v"), REC),
             _fixture_gen("A151726"),
         ],
@@ -446,11 +434,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "eight_V",
         "A151725",
         [
-            Generator(
-                "simulate",
-                _from_sim(lambda n: gridca.run(gridca.MOORE8, n).partial_sums(), "V"),
-                SIM,
-            ),
+            Generator("simulate", _from_sim(_sums(_counts(gridca.MOORE8)), "V"), SIM),
             Generator("recurrence", _from_prefix(rec.eight_V_prefix, "V"), REC),
             _fixture_gen("A151725"),
         ],
@@ -485,7 +469,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "rule942_w",
         None,
         [
-            Generator("simulate", _from_sim(lambda n: gridca.run(gridca.RULE942, n), "w"), SIM),
+            Generator("simulate", _from_sim(_counts(gridca.RULE942), "w"), SIM),
             Generator("closedform", _from_scalar(cf.r942_w, "w"), REC),
             _fixture_gen("table7_w"),
         ],
@@ -594,11 +578,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "a130665",
         "A130665",
         [
-            Generator(
-                "closedform",
-                _from_scalar(lambda n: sum(cf.a048883(i) for i in range(n + 1)), "A130665"),
-                4096,
-            ),
+            Generator("closedform", _sums(_from_scalar(cf.a048883, "A130665")), 4096),
             Generator(
                 "genfunc",
                 _from_series(
@@ -636,11 +616,8 @@ def bindings() -> dict[str, SequenceBinding]:
         "local_minima",
         "A170927",
         [
-            Generator("recurrence", _local_minima_seq, 12),
-            _fixture_gen("A170927"),
+            Generator("recurrence", _local_minima_seq, 12, offset=1),
+            _fixture_gen("A170927", offset=1),
         ],
     )
     return {x.name: x for x in b}
-
-
-MUST_AGREE_NAMES = tuple(name for name, bd in bindings().items() if bd.must_agree)

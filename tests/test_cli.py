@@ -148,3 +148,81 @@ def test_verify_exit_one_on_must_agree_divergence(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "FIRST DIVERGENCE at n=1" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--variant", "toothpick", "--stages", "-3"],
+        ["render", "--variant", "toothpick", "--stages", "-2", "--out", "{out}"],
+        ["verify", "--nmax", "-1"],
+        ["analyze", "--check", "limit-sample", "--k", "0"],
+        ["analyze", "--check", "ratio-bound", "--nmax", "0"],
+    ],
+)
+def test_bad_numeric_argument_exits_two(tmp_path, capsys, argv):
+    out_file = tmp_path / "pic.svg"
+    code, out, err = run(capsys, *(a.format(out=out_file) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "must be >=" in err
+    assert not out_file.exists()
+
+
+def _recording_binding(monkeypatch, bound):
+    from toothpicks import cli
+    from toothpicks.sequences import IntSequence
+    from toothpicks.verify import Generator, SequenceBinding
+
+    asked = []
+
+    def make(n):
+        asked.append(n)
+        return IntSequence(0, tuple(range(n + 1)))
+
+    binding = SequenceBinding("rec", None, (Generator("recurrence", make, bound),))
+    monkeypatch.setattr(cli.verify, "bindings", lambda: {"rec": binding})
+    return asked
+
+
+def test_sequence_evaluates_only_the_terms_asked(capsys, monkeypatch):
+    asked = _recording_binding(monkeypatch, bound=1 << 20)
+    code, out, _ = run(capsys, "sequence", "--name", "rec", "--terms", "5")
+    assert code == 0
+    assert out.split() == ["0", "1", "2", "3", "4"]
+    assert asked == [4]
+
+
+def test_sequence_prints_exactly_bound_plus_one_terms(capsys, monkeypatch):
+    asked = _recording_binding(monkeypatch, bound=8)
+    code, out, _ = run(capsys, "sequence", "--name", "rec", "--terms", "9")
+    assert code == 0
+    assert out.split() == [str(i) for i in range(9)]
+    code, out, err = run(capsys, "sequence", "--name", "rec", "--terms", "10")
+    assert code == 2
+    assert out == ""
+    assert "reaches index 8" in err and "index 9 asked" in err
+    assert asked == [8]  # the refused query evaluated nothing
+
+
+def test_sequence_real_route_to_its_bound(capsys):
+    code, out, _ = run(capsys, "sequence", "--name", "maltese_ca",
+                       "--method", "simulate", "--terms", "65")
+    assert code == 0
+    assert len(out.split()) == 65
+
+
+@pytest.mark.parametrize(
+    "argv, reach",
+    [
+        (["--name", "toothpick_t", "--method", "fixture", "--terms", "5000"], "ends at index 49"),
+        (["--name", "local_minima", "--terms", "20"], "reaches index 12"),
+        (["--name", "toothpick_t", "--method", "recurrence", "--terms", "70000"],
+         "reaches index 65536"),
+    ],
+)
+def test_sequence_past_reach_exits_two_and_prints_nothing(capsys, argv, reach):
+    code, out, err = run(capsys, "sequence", *argv)
+    assert code == 2
+    assert out == ""
+    assert reach in err

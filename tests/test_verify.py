@@ -1,7 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from toothpicks import closedform as cf
+from toothpicks import engine, verify
 from toothpicks.sequences import IntSequence, first_divergence
 from toothpicks.verify import (
     SequenceBinding,
@@ -45,6 +51,71 @@ def test_sequences_overlap_logic():
     assert first_divergence(a, c) == (3, 3, 9)
     assert a.partial_sums().terms == (0, 1, 3, 6)
     assert a.truncated(1).terms == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        # unequal offsets, agreeing on the overlap [3..4]
+        (IntSequence(0, (0, 1, 2, 3, 4)), IntSequence(3, (3, 4, 5)), None),
+        # divergence at the first overlapping index
+        (IntSequence(0, (0, 1, 2, 3)), IntSequence(2, (7, 3)), (2, 2, 7)),
+        # divergence at the last overlapping index
+        (IntSequence(1, (1, 2, 3)), IntSequence(0, (0, 1, 2, 9, 4)), (3, 3, 9)),
+        # one prefix of the other
+        (IntSequence(0, (5, 6)), IntSequence(0, (5, 6, 7)), None),
+        # no overlap
+        (IntSequence(0, (1, 2)), IntSequence(5, (3,)), None),
+        (IntSequence(0, ()), IntSequence(0, (1,)), None),
+    ],
+)
+def test_first_divergence_cases(a, b, expected):
+    assert first_divergence(a, b) == expected
+    swapped = None if expected is None else (expected[0], expected[2], expected[1])
+    assert first_divergence(b, a) == swapped
+
+
+@pytest.mark.parametrize(
+    "name, fixture, term",
+    [("leftist_L", "A151566", cf.leftist_l), ("a130665", "A130665", cf.a048883)],
+)
+def test_linear_totals_match_quadratic_definition(name, fixture, term):
+    gen = next(g for g in bindings()[name].generators if g.tag == "closedform")
+    seq = gen.make(1024)
+    assert seq.offset == 0 and seq.generator == "closedform"
+    assert list(seq.terms) == [sum(term(i) for i in range(n + 1)) for n in range(1025)]
+    assert first_divergence(seq, load_fixture(fixture)) is None
+    assert seq.last_index >= load_fixture(fixture).last_index
+
+
+def test_totals_reuse_the_per_stage_simulation(monkeypatch):
+    calls = []
+    real_grow = engine.grow
+
+    def grow(*args, **kwargs):
+        calls.append(args)
+        return real_grow(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "grow", grow)
+    verify._sim_counts.cache_clear()
+    regs = bindings()
+    sim = [
+        next(g for g in regs[name].generators if g.tag == "simulate")
+        for name in ("toothpick_t", "toothpick_T")
+    ]
+    counts, totals = sim[0].make(40), sim[1].make(40)
+    assert calls == [("toothpick", 40)]
+    assert totals.terms == counts.partial_sums().terms
+    assert totals.terms[:8] == (0, 1, 3, 7, 11, 15, 23, 35)
+
+
+def test_import_does_not_load_network_modules():
+    code = "import sys, toothpicks; print('urllib.request' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(Path(verify.__file__).parents[1])},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_binding_requires_generators():
