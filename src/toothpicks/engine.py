@@ -63,6 +63,8 @@ class _StructureBase:
         return "".join(f"{st} {o} {x} {y}\n" for st, o, x, y in rows)
 
     def grow(self, stages: int):
+        if stages < 0:
+            raise ValueError("n must be >= 0")
         for _ in range(stages):
             self._step()
         return self

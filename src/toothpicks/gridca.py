@@ -1,44 +1,23 @@
-"""Sparse cell automata on Z^d: one-of-2d (von Neumann), eight-neighbor
-Moore variants, the one-or-four rule, the directed-graph encoding of the
+"""Cell automata on Z^d: one-of-2d (von Neumann), eight-neighbor Moore
+variants, the one-or-four rule, the directed-graph encoding of the
 toothpick structure, and the three-state Maltese-cross automaton.
 
-Cells not present in the state map are OFF; once ON or DEAD a cell never
-changes.  Per stage only the OFF neighbors of the cells changed in the
-previous stage are examined, so work stays proportional to growth.
-
-The fully symmetric rules (von Neumann any d, Moore, one-or-four) also
-have a folded counting engine that simulates one cell per symmetry orbit
-and multiplies by orbit size; it is held against the plain engine in
-tests and used for long runs.
+Once ON or DEAD a cell never changes.  Each counting rule (all but the
+Maltese cross) is a row of data for one numpy frontier stepper, which
+examines only the unset neighbors of the previous stage's cells.  `run`
+folds the symmetric rules (von Neumann, Moore, one-or-four) to one cell
+per orbit and counts orbit sizes; the rest, and `CellGrid`, use a box.
 """
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
+
+import numpy as np
 
 from .sequences import IntSequence
 
 ON = "ON"
 DEAD = "DEAD"
-
-
-@dataclass(frozen=True)
-class RuleId:
-    name: str
-    dimension: int = 2
-
-
-def uw_von_neumann(d: int = 2) -> RuleId:
-    if not 1 <= d <= 4:
-        raise ValueError("supported dimensions are 1..4")
-    return RuleId("uw_von_neumann", d)
-
-
-MOORE8 = RuleId("moore8")
-MOORE8_CORNER1 = RuleId("moore8_corner1")
-MOORE8_CORNER2 = RuleId("moore8_corner2")
-RULE942 = RuleId("rule942")
-TOOTHPICK_DIGRAPH = RuleId("toothpick_digraph")
-MALTESE = RuleId("maltese")
 
 RULE_NAMES = (
     "uw_von_neumann",
@@ -51,19 +30,35 @@ RULE_NAMES = (
 )
 
 
+@dataclass(frozen=True)
+class RuleId:
+    name: str
+    dimension: int = 2
+
+    def __post_init__(self):
+        if self.name not in RULE_NAMES:
+            raise ValueError(f"unknown rule: {self.name!r}")
+        if self.dimension not in ((1, 2, 3, 4) if self.name == "uw_von_neumann" else (2,)):
+            raise ValueError(f"{self.name} is not defined in dimension {self.dimension}")
+
+
+def uw_von_neumann(d: int = 2) -> RuleId:
+    return RuleId("uw_von_neumann", d)
+
+
+MOORE8 = RuleId("moore8")
+MOORE8_CORNER1 = RuleId("moore8_corner1")
+MOORE8_CORNER2 = RuleId("moore8_corner2")
+RULE942 = RuleId("rule942")
+TOOTHPICK_DIGRAPH = RuleId("toothpick_digraph")
+MALTESE = RuleId("maltese")
+
+
 def _vn_dirs(d: int):
-    out = []
-    for axis in range(d):
-        for s in (1, -1):
-            v = [0] * d
-            v[axis] = s
-            out.append(tuple(v))
-    return tuple(out)
+    return tuple(tuple(s * (i == axis) for i in range(d)) for axis in range(d) for s in (1, -1))
 
 
-MOORE_DIRS = tuple(
-    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
-)
+MOORE_DIRS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
 
 
 def _digraph_in_neighbors(p):
@@ -75,44 +70,145 @@ def _digraph_in_neighbors(p):
     return ((x, y - 1), (x, y + 1))
 
 
-def _digraph_out_neighbors(p):
-    x, y = p
-    if (x + y) % 2 == 0:
-        return ((x, y - 1), (x, y + 1))
-    return ((x - 1, y), (x + 1, y))
+def _digraph_eligible(on, cells):
+    # With the von Neumann offsets, columns 0-1 are the horizontal
+    # neighbors and 2-3 the vertical ones (see `_digraph_in_neighbors`).
+    even = (cells[:, 0] + cells[:, 1]) % 2 == 0
+    return np.where(even, on[:, 0] + on[:, 1], on[:, 2] + on[:, 3]) == 1
 
 
-def _corner_blocked(p) -> bool:
+def _corner_blocked(cells):
     # Third-quarter cells are (i, j) with i <= -1, j <= 0; a cell is also
     # barred when 8-adjacent to that quadrant, which works out to
     # x <= 0 and y <= 1.  The stage-1 seed is exempt.
-    return p[0] <= 0 and p[1] <= 1
+    return (cells[:, 0] <= 0) & (cells[:, 1] <= 1)
+
+
+def _counting(rule: RuleId):
+    """(offsets, eligible, blocked or None, seed, symmetric) of a counting rule.
+
+    `eligible` takes the candidates' ON mask (a column per offset) and the
+    candidates; a symmetric rule is invariant under signed axis permutations.
+    """
+    vn, origin = _vn_dirs(rule.dimension), (0,) * rule.dimension
+    one = lambda on, cells: on.sum(axis=1) == 1
+    return {
+        "uw_von_neumann": (vn, one, None, origin, True),
+        "moore8": (MOORE_DIRS, one, None, origin, True),
+        "moore8_corner1": (MOORE_DIRS, one, _corner_blocked, origin, False),
+        "moore8_corner2": (MOORE_DIRS, one, _corner_blocked, (0, 1), False),
+        "rule942": (vn, lambda on, cells: np.isin(on.sum(axis=1), (1, 4)), None, origin, True),
+        "toothpick_digraph": (vn, _digraph_eligible, None, origin, False),
+    }[rule.name]
+
+
+def _multiset_rank(c):
+    """Rank of each ascending row among all multisets of its size, sum of
+    C(c_i + i, i + 1); rows with entries <= r rank below C(r + d, d)."""
+    rank = 0
+    for i in range(c.shape[1]):
+        term = c[:, i]
+        for j in range(1, i + 1):
+            term = term * (c[:, i] + j) // (j + 1)  # C(c_i + j, j + 1), exact
+        rank = rank + term
+    return rank
+
+
+def _orbit_cells(c) -> int:
+    """Cells that rows of sorted |x| stand for: d!/prod(m!) * 2^nonzero each."""
+    perms, run_length = factorial(c.shape[1]), 1
+    for i in range(1, c.shape[1]):
+        run_length = np.where(c[:, i] == c[:, i - 1], run_length + 1, 1)
+        perms = perms // run_length
+    return int((perms << (c > 0).sum(axis=1)).sum())
+
+
+class _Frontier:
+    """One counting rule's ON set, grown a stage at a time, in a flat
+    uint8 bitmap that `reserve(n)` must size for every stage n stepped.
+
+    Folded, a cell is kept as its sorted |x|, stands for its whole orbit
+    and sits at its multiset rank; otherwise it sits at its place in a
+    dense box of half-width `half`.
+    """
+
+    def __init__(self, rule: RuleId, fold: bool):
+        offsets, self.eligible, self.blocked, self.seed, symmetric = _counting(rule)
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.fold = fold and symmetric
+        self.dim = rule.dimension
+        self.wave = None
+        self.half, self.on = 0, np.zeros(1, dtype=np.uint8)  # the origin alone
+
+    def reserve(self, n: int) -> None:
+        # Stage n sets cells within n of the origin and looks up their
+        # neighbors, so cover |x_i| <= n + 2.  np.zeros maps pages on first
+        # write (np.pad would write them all), so the copy goes in by hand.
+        half = n + 2
+        if half <= self.half:
+            return
+        if self.fold:
+            on = np.zeros(comb(half + self.dim, self.dim), dtype=np.uint8)
+            on[: self.on.size] = self.on  # a rank does not depend on the bound
+        else:
+            on = np.zeros((2 * half + 1,) * self.dim, dtype=np.uint8)
+            inner = (slice(half - self.half, half + self.half + 1),) * self.dim
+            on[inner] = self.on.reshape((2 * self.half + 1,) * self.dim)
+            self.strides = (2 * half + 1) ** np.arange(self.dim - 1, -1, -1)
+        self.on, self.half = on.ravel(), half
+
+    def _around(self, cells):
+        """Every neighbor of each cell, one row each; sorted |x| if folded."""
+        nbrs = (cells[:, None, :] + self.offsets).reshape(-1, self.dim)
+        return np.sort(np.abs(nbrs), axis=1) if self.fold else nbrs
+
+    def _key(self, cells):
+        return _multiset_rank(cells) if self.fold else (cells + self.half) @ self.strides
+
+    def step(self) -> np.ndarray:
+        """Set the next stage's cells and return them, one per orbit if folded."""
+        if self.wave is None:
+            new = np.array([self.seed], dtype=np.int64)
+        else:
+            nbrs = self._around(self.wave)
+            keys, first = np.unique(self._key(nbrs), return_index=True)
+            cand = nbrs[first[self.on[keys] == 0]]
+            if self.blocked is not None:
+                cand = cand[~self.blocked(cand)]
+            on = self.on[self._key(self._around(cand))].reshape(len(cand), -1)
+            new = cand[self.eligible(on, cand)]
+        self.on[self._key(new)] = 1
+        self.wave = new
+        return new
 
 
 class CellGrid:
-    """Plain sparse engine; keeps every cell, so it also feeds rendering,
-    activation maps and tree checks."""
+    """Every non-OFF cell of one rule's growth, for rendering, activation
+    maps, tree checks and dumps; `grow` resumes where the last call ended."""
 
     def __init__(self, rule: RuleId):
-        if rule.name not in RULE_NAMES:
-            raise ValueError(f"unknown rule: {rule.name!r}")
-        if rule.name != "uw_von_neumann" and rule.dimension != 2:
-            raise ValueError(f"{rule.name} is two-dimensional")
         self.rule = rule
         self.dimension = rule.dimension
         self.stage = 0
         self.counts = [0]
         self.states: dict[tuple, tuple[str, int]] = {}
-        self._on: set[tuple] = set()  # mirror of the ON keys, for fast counting
-        self._last_on: list[tuple] = []
         if rule.name == "maltese":
-            self._stepper = self._step_maltese
+            self._frontier = None
+            self._on: set[tuple] = set()
+            self._last_on: list[tuple] = []
+            self._step = self._step_maltese
         else:
-            self._stepper = self._step_counting
+            self._frontier = _Frontier(rule, fold=False)
+            self._step = self._step_frontier
 
     def grow(self, stages: int) -> "CellGrid":
+        if stages < 0:
+            raise ValueError("n must be >= 0")
+        if self._frontier is not None:
+            self._frontier.reserve(self.stage + stages)
         for _ in range(stages):
-            self._stepper()
+            self.stage += 1
+            self.counts.append(self._step())
         return self
 
     def added_per_stage(self) -> IntSequence:
@@ -129,101 +225,22 @@ class CellGrid:
         rows = sorted((c, s, st) for c, (s, st) in self.states.items())
         return "".join(f"{s} {st} {' '.join(map(str, c))}\n" for c, s, st in rows)
 
-    # -- counting rules (one-of-k, one-or-four, digraph) ------------------
-
-    def _neighbors(self, p):
-        name = self.rule.name
-        if name == "uw_von_neumann":
-            return tuple(
-                tuple(p[a] + v[a] for a in range(self.dimension))
-                for v in _vn_dirs(self.dimension)
-            )
-        if name in ("moore8", "moore8_corner1", "moore8_corner2"):
-            return tuple((p[0] + d[0], p[1] + d[1]) for d in MOORE_DIRS)
-        if name == "rule942":
-            return ((p[0] - 1, p[1]), (p[0] + 1, p[1]), (p[0], p[1] - 1), (p[0], p[1] + 1))
-        if name == "toothpick_digraph":
-            return _digraph_in_neighbors(p)
-        raise AssertionError(name)
-
-    def _eligible(self, on_count: int, degree: int) -> bool:
-        if self.rule.name == "rule942":
-            return on_count == 1 or on_count == degree
-        return on_count == 1
-
-    def _seed(self):
-        name = self.rule.name
-        if name == "moore8_corner1":
-            return (0, 0)
-        if name == "moore8_corner2":
-            return (0, 1)
-        return (0,) * self.dimension
-
-    def _blocked(self, p) -> bool:
-        if self.rule.name in ("moore8_corner1", "moore8_corner2"):
-            return _corner_blocked(p)
-        return False
-
-    def _step_counting(self) -> None:
-        n = self.stage + 1
-        states = self.states
-        on = self._on
-        if n == 1:
-            seed = self._seed()
-            states[seed] = (ON, 1)
-            on.add(seed)
-            self._last_on = [seed]
-            self.counts.append(1)
-            self.stage = 1
-            return
-        digraph = self.rule.name == "toothpick_digraph"
-        blocked = self._blocked
-        candidates = set()
-        for c in self._last_on:
-            spread = _digraph_out_neighbors(c) if digraph else self._neighbors(c)
-            for q in spread:
-                if q not in states and not blocked(q):
-                    candidates.add(q)
-        newly = []
-        if self.dimension == 2 and not digraph:
-            dirs = MOORE_DIRS if self.rule.name.startswith("moore8") else (
-                (1, 0), (-1, 0), (0, 1), (0, -1))
-            eligible = self._eligible
-            degree = len(dirs)
-            for q in candidates:
-                x, y = q
-                on_count = 0
-                for dx, dy in dirs:
-                    if (x + dx, y + dy) in on:
-                        on_count += 1
-                if eligible(on_count, degree):
-                    newly.append(q)
-        else:
-            for q in candidates:
-                nbrs = self._neighbors(q)
-                on_count = sum(1 for r in nbrs if r in on)
-                if self._eligible(on_count, len(nbrs)):
-                    newly.append(q)
-        for q in newly:
-            states[q] = (ON, n)
-        on.update(newly)
-        self._last_on = newly
-        self.counts.append(len(newly))
-        self.stage = n
+    def _step_frontier(self) -> int:
+        new = self._frontier.step().tolist()
+        self.states.update(dict.fromkeys(map(tuple, new), (ON, self.stage)))
+        return len(new)
 
     # -- Maltese cross (three states) --------------------------------------
 
-    def _step_maltese(self) -> None:
-        n = self.stage + 1
+    def _step_maltese(self) -> int:
+        n = self.stage
         states = self.states
         on = self._on
         if n == 1:
             states[(0, 0)] = (ON, 1)
             on.add((0, 0))
             self._last_on = [(0, 0)]
-            self.counts.append(1)
-            self.stage = 1
-            return
+            return 1
         edge = ((1, 0), (-1, 0), (0, 1), (0, -1))
         candidates = set()
         for c in self._last_on:
@@ -289,8 +306,7 @@ class CellGrid:
             states[q] = (ON, n)
         on.update(newly)
         self._last_on = newly
-        self.counts.append(len(newly))
-        self.stage = n
+        return len(newly)
 
 
 def activation_map(grid: CellGrid) -> dict[tuple, int]:
@@ -298,124 +314,28 @@ def activation_map(grid: CellGrid) -> dict[tuple, int]:
     return {c: st for c, (_, st) in grid.states.items()}
 
 
-# -- folded engines for the fully symmetric rules ---------------------------
-
-
-def _canon_signed_perm(p):
-    return tuple(sorted((abs(v) for v in p), reverse=True))
-
-
-def _orbit_signed_perm(c) -> int:
-    perms = factorial(len(c))
-    seen: dict[int, int] = {}
-    nz = 0
-    for v in c:
-        seen[v] = seen.get(v, 0) + 1
-        if v:
-            nz += 1
-    for m in seen.values():
-        perms //= factorial(m)
-    return perms << nz
-
-
-def _run_folded(dirs, eligible, n: int, label: str) -> IntSequence:
-    counts = [0]
-    if n >= 1:
-        d = len(dirs[0])
-        origin = (0,) * d
-        on = {origin}
-        last = [origin]
-        counts.append(1)
-        for stage in range(2, n + 1):
-            cand = set()
-            for c in last:
-                for v in dirs:
-                    q = tuple(c[a] + v[a] for a in range(d))
-                    cq = _canon_signed_perm(q)
-                    if cq not in on:
-                        cand.add(cq)
-            newly = []
-            added = 0
-            for q in cand:
-                cnt = 0
-                for v in dirs:
-                    r = tuple(q[a] + v[a] for a in range(d))
-                    if _canon_signed_perm(r) in on:
-                        cnt += 1
-                if eligible(cnt):
-                    newly.append(q)
-                    added += _orbit_signed_perm(q)
-            on.update(newly)
-            last = newly
-            counts.append(added)
-    return IntSequence(0, tuple(counts), label, "simulate")
-
-
-def _run_folded_d8(dirs, eligible, n: int, label: str) -> IntSequence:
-    # Planar fold under the dihedral group: canonical cell (a, b), a >= b >= 0.
-    def canon(p):
-        a, b = abs(p[0]), abs(p[1])
-        return (a, b) if a >= b else (b, a)
-
-    def orbit(c) -> int:
-        a, b = c
-        size = 8
-        if a == b:
-            size //= 2
-        if b == 0:
-            size //= 2
-        if a == 0:
-            size = 1
-        return size
-
-    counts = [0]
-    if n >= 1:
-        on = {(0, 0)}
-        last = [(0, 0)]
-        counts.append(1)
-        for stage in range(2, n + 1):
-            cand = set()
-            for c in last:
-                for dx, dy in dirs:
-                    q = canon((c[0] + dx, c[1] + dy))
-                    if q not in on:
-                        cand.add(q)
-            newly = []
-            added = 0
-            for q in cand:
-                cnt = sum(1 for dx, dy in dirs if canon((q[0] + dx, q[1] + dy)) in on)
-                if eligible(cnt):
-                    newly.append(q)
-                    added += orbit(q)
-            on.update(newly)
-            last = newly
-            counts.append(added)
-    return IntSequence(0, tuple(counts), label, "simulate")
-
-
 def run(rule: RuleId, n: int) -> IntSequence:
     """Per-stage activation counts a(0..n) for a rule, a(1) = 1 seed."""
-    name = rule.name
-    if name == "uw_von_neumann":
-        return _run_folded(
-            _vn_dirs(rule.dimension), lambda c: c == 1, n, f"uw_d{rule.dimension}"
-        )
-    if name == "moore8":
-        return _run_folded_d8(MOORE_DIRS, lambda c: c == 1, n, "moore8")
-    if name == "rule942":
-        vn = ((1, 0), (-1, 0), (0, 1), (0, -1))
-        return _run_folded_d8(vn, lambda c: c == 1 or c == 4, n, "rule942")
-    return CellGrid(rule).grow(n).added_per_stage()
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if rule.name == "maltese":
+        return CellGrid(rule).grow(n).added_per_stage()
+    frontier = _Frontier(rule, fold=True)
+    frontier.reserve(n)
+    size = _orbit_cells if frontier.fold else len
+    counts = [0] + [size(frontier.step()) for _ in range(n)]
+    label = f"uw_d{rule.dimension}" if rule.name == "uw_von_neumann" else rule.name
+    return IntSequence(0, tuple(counts), label, "simulate")
 
 
 def run_toothpick_digraph(n: int) -> IntSequence:
     """Node activations of the directed-grid model; equals toothpick t(n)."""
-    return CellGrid(TOOTHPICK_DIGRAPH).grow(n).added_per_stage()
+    return run(TOOTHPICK_DIGRAPH, n)
 
 
 def run_maltese(n: int) -> IntSequence:
     """Per-stage ON counts of the three-state Maltese-cross automaton."""
-    return CellGrid(MALTESE).grow(n).added_per_stage()
+    return run(MALTESE, n)
 
 
 def build_maltese_by_construction(n: int) -> IntSequence:

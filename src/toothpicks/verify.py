@@ -64,6 +64,7 @@ def format_bfile(seq: IntSequence) -> str:
     return "".join(f"{seq.offset + i} {v}\n" for i, v in enumerate(seq.terms))
 
 
+@functools.lru_cache(maxsize=None)
 def load_fixture(name: str) -> IntSequence:
     """Bundled fixture by name (an OEIS id or a local table name)."""
     path = resources.files("toothpicks.fixtures").joinpath(f"{name}.txt")
@@ -221,7 +222,8 @@ def _from_sim(fn, label):
 
 
 def _fixture_gen(name, offset=0):
-    return Generator("fixture", lambda n: load_fixture(name).truncated(n), 10**9, offset)
+    seq = load_fixture(name)
+    return Generator("fixture", seq.truncated, seq.last_index, offset)
 
 
 @functools.lru_cache(maxsize=64)
@@ -285,11 +287,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "A139251",
         [
             Generator("simulate", _from_sim(_counts("toothpick"), "t"), SIM),
-            Generator(
-                "simulate",
-                _from_sim(gridca.run_toothpick_digraph, "t/digraph"),
-                SIM,
-            ),
+            Generator("simulate", _from_sim(_counts(gridca.TOOTHPICK_DIGRAPH), "t/digraph"), SIM),
             Generator("recurrence", _from_prefix(rec.toothpick_t_prefix, "t"), REC),
             Generator("closedform", _from_scalar(cf.t_explicit, "t"), REC),
             Generator("genfunc", _from_series(series.toothpick_gf, "t"), GF),
@@ -443,11 +441,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "eight_v1",
         "A151747",
         [
-            Generator(
-                "simulate",
-                _from_sim(lambda n: gridca.CellGrid(gridca.MOORE8_CORNER1).grow(n).added_per_stage(), "v1"),
-                SIM,
-            ),
+            Generator("simulate", _from_sim(_counts(gridca.MOORE8_CORNER1), "v1"), SIM),
             Generator("recurrence", _from_prefix(rec.eight_v1_prefix, "v1"), REC),
             _fixture_gen("A151747"),
         ],
@@ -456,11 +450,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "eight_v2",
         "A151728",
         [
-            Generator(
-                "simulate",
-                _from_sim(lambda n: gridca.CellGrid(gridca.MOORE8_CORNER2).grow(n).added_per_stage(), "v2"),
-                SIM,
-            ),
+            Generator("simulate", _from_sim(_counts(gridca.MOORE8_CORNER2), "v2"), SIM),
             Generator("recurrence", _from_prefix(rec.eight_v2_prefix, "v2"), REC),
             _fixture_gen("A151728"),
         ],

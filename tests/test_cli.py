@@ -215,7 +215,7 @@ def test_sequence_real_route_to_its_bound(capsys):
 @pytest.mark.parametrize(
     "argv, reach",
     [
-        (["--name", "toothpick_t", "--method", "fixture", "--terms", "5000"], "ends at index 49"),
+        (["--name", "toothpick_t", "--method", "fixture", "--terms", "5000"], "reaches index 49"),
         (["--name", "local_minima", "--terms", "20"], "reaches index 12"),
         (["--name", "toothpick_t", "--method", "recurrence", "--terms", "70000"],
          "reaches index 65536"),

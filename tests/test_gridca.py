@@ -1,7 +1,7 @@
 import pytest
 
 from toothpicks import closedform as cf
-from toothpicks import gridca
+from toothpicks import engine, gridca
 from toothpicks import recurrences as rec
 from toothpicks.gridca import (
     DEAD,
@@ -34,15 +34,32 @@ def test_uw_counts():
     assert sum(seq.terms[:17]) == 341
 
 
-def test_folded_and_plain_engines_agree():
-    for d, n in ((1, 64), (2, 96), (3, 32)):
-        folded = run(uw_von_neumann(d), n)
-        plain = CellGrid(uw_von_neumann(d)).grow(n).added_per_stage()
-        assert list(folded.terms) == list(plain.terms), d
-    for rule in (MOORE8, RULE942):
-        folded = run(rule, 64)
-        plain = CellGrid(rule).grow(64).added_per_stage()
-        assert list(folded.terms) == list(plain.terms), rule
+COUNTING_RULES = (
+    uw_von_neumann(1), uw_von_neumann(2), uw_von_neumann(3), uw_von_neumann(4),
+    MOORE8, MOORE8_CORNER1, MOORE8_CORNER2, RULE942, TOOTHPICK_DIGRAPH,
+)
+
+
+def rule_id(rule):
+    return f"{rule.name}-d{rule.dimension}"
+
+
+@pytest.mark.parametrize("rule", COUNTING_RULES, ids=rule_id)
+def test_folded_and_plain_engines_agree(rule):
+    # run() folds the symmetric rules; CellGrid keeps every cell.
+    n = 32 if rule.dimension == 4 else 128
+    folded = run(rule, n)
+    plain = CellGrid(rule).grow(n)
+    assert list(folded.terms) == plain.counts
+    assert sum(plain.counts) == len(plain.states)
+
+
+@pytest.mark.parametrize("rule", COUNTING_RULES[:3] + COUNTING_RULES[4:] + (MALTESE,), ids=rule_id)
+def test_resumed_growth_matches_one_call(rule):
+    whole = CellGrid(rule).grow(40)
+    resumed = CellGrid(rule).grow(0).grow(3).grow(1).grow(36)
+    assert resumed.dump() == whole.dump()
+    assert resumed.counts == whole.counts and resumed.stage == whole.stage == 40
 
 
 def test_uw_dimension_formula():
@@ -159,10 +176,29 @@ def test_dump_format():
 
 
 def test_rule_validation():
-    with pytest.raises(ValueError):
-        CellGrid(gridca.RuleId("moore8", 3))
-    with pytest.raises(ValueError):
-        CellGrid(gridca.RuleId("life"))
+    bad = (("moore8", 3), ("life", 2), ("uw_von_neumann", 0), ("uw_von_neumann", 5),
+           ("uw_von_neumann", 6), ("maltese", 1))
+    for name, d in bad:
+        with pytest.raises(ValueError):
+            CellGrid(gridca.RuleId(name, d))
+        with pytest.raises(ValueError):
+            run(gridca.RuleId(name, d), 5)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: run(uw_von_neumann(2), -3), id="run-folded"),
+    pytest.param(lambda: run(MOORE8_CORNER1, -1), id="run-box"),
+    pytest.param(lambda: CellGrid(RULE942).grow(-2), id="grid"),
+    pytest.param(lambda: CellGrid(TOOTHPICK_DIGRAPH).grow(4).grow(-1), id="grid-resumed"),
+    pytest.param(lambda: run_maltese(-2), id="run_maltese"),
+    pytest.param(lambda: run_toothpick_digraph(-1), id="run_toothpick_digraph"),
+    pytest.param(lambda: build_maltese_by_construction(-1), id="maltese-construction"),
+    pytest.param(lambda: engine.grow("toothpick", -3), id="engine-fast"),
+    pytest.param(lambda: engine.grow("corner", -1), id="engine-dict"),
+])
+def test_negative_stage_count_rejected(call):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        call()
 
 
 def test_maltese_totals_through_eight():

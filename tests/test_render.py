@@ -4,7 +4,16 @@ import pytest
 
 from toothpicks import closedform as cf
 from toothpicks.engine import grow, new_structure
-from toothpicks.gridca import MALTESE, CellGrid, uw_von_neumann
+from toothpicks.gridca import (
+    MALTESE,
+    MOORE8,
+    MOORE8_CORNER1,
+    MOORE8_CORNER2,
+    RULE942,
+    TOOTHPICK_DIGRAPH,
+    CellGrid,
+    uw_von_neumann,
+)
 from toothpicks.render import RenderConfig, render_grid, render_structure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,6 +79,12 @@ def test_three_dimensional_grid_rejected():
         ("maltese_n5.svg", lambda: render_grid(CellGrid(MALTESE).grow(5))),
         ("corner_n7.dump", lambda: grow("corner", 7, fast=False).dump()),
         ("uw_n4.dump", lambda: CellGrid(uw_von_neumann(2)).grow(4).dump()),
+        ("uw3_n4.dump", lambda: CellGrid(uw_von_neumann(3)).grow(4).dump()),
+        ("moore8_n8.dump", lambda: CellGrid(MOORE8).grow(8).dump()),
+        ("moore8_corner1_n8.dump", lambda: CellGrid(MOORE8_CORNER1).grow(8).dump()),
+        ("moore8_corner2_n8.dump", lambda: CellGrid(MOORE8_CORNER2).grow(8).dump()),
+        ("rule942_n8.dump", lambda: CellGrid(RULE942).grow(8).dump()),
+        ("toothpick_digraph_n8.dump", lambda: CellGrid(TOOTHPICK_DIGRAPH).grow(8).dump()),
     ],
 )
 def test_golden_files(name, make):

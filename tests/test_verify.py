@@ -88,6 +88,15 @@ def test_linear_totals_match_quadratic_definition(name, fixture, term):
     assert seq.last_index >= load_fixture(fixture).last_index
 
 
+def test_fixture_route_bound_is_its_last_index():
+    fixture_gens = [g for b in bindings().values() for g in b.generators if g.tag == "fixture"]
+    assert len(fixture_gens) >= 20
+    for gen in fixture_gens:
+        seq = gen.make(gen.bound)
+        assert seq.last_index == gen.bound and seq.offset == gen.offset
+        assert gen.make(gen.bound + 100) == seq  # nothing lies past the bound
+
+
 def test_totals_reuse_the_per_stage_simulation(monkeypatch):
     calls = []
     real_grow = engine.grow
