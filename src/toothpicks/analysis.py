@@ -318,6 +318,11 @@ def _is_tree(cells: set, neighbor_pairs) -> bool:
     return len(roots) == 1 and edges == len(cells) - 1
 
 
+# Segment variants whose activation edges the tree check can read: each
+# toothpick's parent is a perpendicular neighbor on the square lattice.
+TREE_VARIANTS = ("toothpick", "corner", "leftist")
+
+
 def tree_check(obj) -> bool:
     """The grown structure is a tree.
 
@@ -331,7 +336,7 @@ def tree_check(obj) -> bool:
     lives in the activation edges.
     """
     if isinstance(obj, CellGrid) and obj.rule.name != "toothpick_digraph":
-        cells = set(obj.states)
+        cells = set(obj.on_cells())  # the Maltese cross also keeps DEAD cells
         if obj.rule.name in ("moore8", "moore8_corner1", "moore8_corner2"):
             half = ((1, 0), (0, 1), (1, 1), (1, -1))
         else:
@@ -354,6 +359,8 @@ def tree_check(obj) -> bool:
                 return False
             pairs.append((parents[0], c))
         return _is_tree(set(stage), pairs)
+    if obj.variant not in TREE_VARIANTS:
+        raise ValueError(f"tree checks apply to square-lattice toothpicks, not {obj.variant!r}")
     # Segment structure: midpoints, joined to the unique earlier-stage
     # perpendicular neighbor (the toothpick whose exposed end spawned
     # this one; same-axis neighbors are end-on-midpoint contacts).

@@ -24,6 +24,9 @@ GRID_VARIANTS = {
     "maltese": lambda: gridca.MALTESE,
 }
 
+# render_grid draws two-dimensional grids only.
+PLANE_GRIDS = tuple(name for name, rule in GRID_VARIANTS.items() if rule().dimension == 2)
+
 METHOD_ORDER = ("closedform", "recurrence", "genfunc", "simulate")
 METHOD_ALIASES = {"formula": "closedform"}
 
@@ -64,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ren = sub.add_parser("render", help="render a structure or grid as SVG")
     ren.add_argument("--variant", required=True,
-                     choices=sorted(set(engine.VARIANTS) | set(GRID_VARIANTS)))
+                     choices=sorted(set(engine.VARIANTS) | set(PLANE_GRIDS)))
     ren.add_argument("--stages", type=_at_least(0), required=True)
     ren.add_argument("--out", required=True, metavar="FILE.svg")
     ren.add_argument("--color-mode", default="by-stage", choices=("by-stage", "monochrome"))
@@ -76,7 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("ratio-bound", "local-minima", "limit-sample", "rectangles", "tree"))
     ana.add_argument("--nmax", type=_at_least(1), default=256)
     ana.add_argument("--k", type=_at_least(1), default=14, help="sample exponent for limit-sample")
-    ana.add_argument("--variant", default="uw", help="grid variant for tree checks")
+    ana.add_argument("--variant", default="uw",
+                     choices=sorted(set(analysis.TREE_VARIANTS) | set(GRID_VARIANTS)),
+                     help="structure or grid for tree checks")
     ana.add_argument("--csv", action="store_true", help="CSV output for limit-sample")
     return ap
 
@@ -208,7 +213,11 @@ def _cmd_analyze(args) -> int:
             obj = gridca.CellGrid(GRID_VARIANTS[args.variant]()).grow(args.nmax)
         else:
             obj = engine.grow(args.variant, args.nmax)
-        ok = analysis.tree_check(obj)
+        try:
+            ok = analysis.tree_check(obj)
+        except ValueError as exc:
+            print(f"analyze: {exc}", file=sys.stderr)
+            return 2
         print(f"{args.variant} at n={args.nmax}: {'tree' if ok else 'NOT a tree'}")
         return 0
     raise AssertionError(args.check)

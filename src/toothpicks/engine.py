@@ -1,14 +1,17 @@
 """Segment-placement automata: toothpick, corner, leftist, T- and Y-shaped.
 
-All square-lattice coordinates are doubled so that midpoints and
-endpoints of unit segments are exact integer lattice points (a unit
-toothpick spans 2 doubled units).  A point is exposed when it is an
-endpoint of exactly one segment and the midpoint of none; each stage
-places a perpendicular segment centered on every exposed end, all
-placements computed from the state at the start of the stage.
+Square-lattice coordinates are doubled so that midpoints and endpoints
+of unit segments are exact integer lattice points (a unit toothpick
+spans 2 doubled units); the Y variant lives on the triangular lattice in
+axial coordinates.  A point is exposed when it is an end of exactly one
+element and the center of none; each stage centers an element on every
+exposed end, all placements computed from the state at the start of the
+stage.
 
-Occupancy is one packed integer per lattice point: endpoint count plus
-8 * midpoint flag, so "exposed" is simply occupancy == 1.
+One numpy stepper, `_Structure`, grows every variant, and each variant
+is one row of `_ROWS`.  Occupancy is one packed uint8 per point of a box
+sized from the live extent: end count plus 8 * center flag, so
+"exposed" is simply occupancy == 1.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,8 @@ from .sequences import IntSequence
 MID = 8
 
 VARIANTS = ("toothpick", "corner", "leftist", "t", "y")
+
+Y_ARMS = ((1, 0), (-1, 1), (0, -1))
 
 
 @dataclass(frozen=True)
@@ -38,12 +43,150 @@ class Segment:
     y: int
 
 
-class _StructureBase:
-    """Shared reporting surface for every engine."""
+@dataclass(frozen=True)
+class _Row:
+    """One variant for the stepper; an element's direction d indexes the tables.
 
-    variant: str
-    stage: int
-    counts: list[int]
+    arms[d] lists the element's ends as (dx, dy, e): the offset from its
+    center (doubled square-lattice units, or axial ones for the Y row) and
+    the direction e of the element an exposed end spawns, or
+    -1 for an end that counts but never spawns.  draws[d] lists its unit
+    segments as (orient, dx, dy).  seed is the stage-1 frontier as
+    (x, y, d); a frontier point that `blocked` accepts is never placed on.
+    """
+
+    arms: tuple
+    draws: tuple
+    seed: tuple
+    half_seed: bool = False  # an uncounted stage-0 half-toothpick from (0, 0) to (1, 0)
+    blocked: object = None
+
+
+# Plain, corner and leftist: a vertical toothpick (direction 0) spawns
+# horizontals (direction 1) and back, so orientation follows stage parity.
+_V, _H = 0, 1
+_PLAIN = (((0, 1, _H), (0, -1, _H)), ((1, 0, _V), (-1, 0, _V)))
+_LEFTIST = (_PLAIN[0], ((1, 0, -1), (-1, 0, _V)))  # a horizontal's right end never spawns
+_TOOTHPICKS = ((("v", 0, 0),), (("h", 0, 0),))
+_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # E N W S
+
+
+def _t_tables():
+    """A T with stem direction u (index i): all three ends at doubled distance
+    2 from its center, at 2u and +-2v with v = u turned a quarter left; each
+    end spawns a T whose stem continues outward."""
+    arms, draws = [], []
+    for i, (ux, uy) in enumerate(_STEPS):
+        vx, vy = _STEPS[(i + 1) % 4]
+        stem, bar = ("v", "h") if ux == 0 else ("h", "v")
+        arms.append(
+            ((2 * ux, 2 * uy, i), (2 * vx, 2 * vy, (i + 1) % 4), (-2 * vx, -2 * vy, (i + 3) % 4))
+        )
+        draws.append(((stem, ux, uy), (bar, vx, vy), (bar, -vx, -vy)))
+    return tuple(arms), tuple(draws)
+
+
+_ROWS = {
+    "toothpick": _Row(_PLAIN, _TOOTHPICKS, ((0, 0, _V),)),
+    # A spawn point in the closed third quadrant would put its toothpick
+    # across the excluded quadrant or along a negative axis; it stays
+    # exposed for ever.
+    "corner": _Row(_PLAIN, _TOOTHPICKS, ((0, 0, _V), (1, 0, _V)), half_seed=True,
+                   blocked=lambda x, y: (x <= 0) & (y <= 0)),
+    "leftist": _Row(_LEFTIST, _TOOTHPICKS, ((0, 0, _H),)),
+    "t": _Row(*_t_tables(), ((0, 0, 3),)),  # the first stem points down
+    # Every Y keeps the arms of Y_ARMS: no arm is the reverse of another,
+    # so a new Y's arms cannot overlap existing ones.
+    "y": _Row((tuple((ax, ay, 0) for ax, ay in Y_ARMS),),
+              (tuple((f"y{i}", 0, 0) for i in range(3)),), ((0, 0, 0),)),
+}
+
+
+class _Structure:
+    """One variant's elements, grown a stage at a time; `grow` resumes where
+    the last call ended.
+
+    Per stage it touches only the frontier (the ends made in the previous
+    stage), so the total work is proportional to the number of elements;
+    the plain variant reaches stage 4096 (about 1.1e7 toothpicks) in a
+    few seconds and well under 2 GB.
+    """
+
+    def __init__(self, variant: str):
+        self.variant, self._row = variant, _ROWS[variant]
+        self.stage, self.counts = 0, [0]
+        self._arms = np.array([[a[:2] for a in d] for d in self._row.arms], dtype=np.int64)
+        self._arm_reach = int(np.abs(self._arms).max())
+        # An end's spawn direction + 1 rides in the low 3 bits of its sort key.
+        self._tag = np.array([[a[2] + 1 for a in d] for d in self._row.arms], dtype=np.int64)
+        self.half, self.occ = 0, np.zeros((1, 1), dtype=np.uint8)
+        self._fit(self._arm_reach + 1)
+        seed = np.array(self._row.seed, dtype=np.int64)
+        self._front = self._key(seed[:, 0], seed[:, 1]) * 8 + seed[:, 2] + 1
+        self._placed = [(np.empty(0, dtype=np.int32),) * 2 + (np.empty(0, dtype=np.int8),)]
+        self._segs = {0: ()}
+        if self._row.half_seed:
+            self.occ.ravel()[self._key(np.array([0, 1]), np.array([0, 0]))] = 1
+            self._segs[0] = (Segment(0, "s", 0, 0),)
+
+    def _key(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (x + self.half) * self.occ.shape[1] + (y + self.half)
+
+    def _fit(self, reach: int) -> None:
+        # Re-embed the box at half-width 2**j + 2 for the least j that
+        # covers `reach`: a box much larger than the structure makes the
+        # scattered updates slower.
+        if reach <= self.half:
+            return
+        half = (1 << max(reach - 3, 0).bit_length()) + 2
+        occ = np.zeros((2 * half + 1,) * 2, dtype=np.uint8)
+        lo, side = half - self.half, 2 * self.half + 1
+        occ[lo : lo + side, lo : lo + side] = self.occ
+        self.occ, self.half = occ, half
+        self._arm_tags = (self._arms[..., 0] * (2 * half + 1) + self._arms[..., 1]) * 8 + self._tag
+
+    def grow(self, stages: int) -> "_Structure":
+        if stages < 0:
+            raise ValueError("n must be >= 0")
+        for _ in range(stages):
+            self._step()
+        return self
+
+    def _step(self) -> None:
+        keys = self._front >> 3
+        # A frontier point is an end, so occupancy <= 1 means exposed;
+        # only a stage-1 seed point can still be empty.
+        live = self.occ.ravel()[keys] <= 1
+        keys, dirs = keys[live], (self._front[live] & 7) - 1
+        x, y = np.divmod(keys, self.occ.shape[1])
+        x -= self.half
+        y -= self.half
+        if self._row.blocked is not None:
+            ok = ~self._row.blocked(x, y)
+            keys, dirs, x, y = keys[ok], dirs[ok], x[ok], y[ok]
+        reach = max(np.abs(x).max(initial=0), np.abs(y).max(initial=0)) + self._arm_reach
+        if reach > self.half:
+            self._fit(int(reach))
+            keys = self._key(x, y)
+        flat = self.occ.ravel()
+        flat[keys] += MID
+        # Sort the ends once: each point's count goes into the box, and a
+        # point reached by exactly one end joins the frontier once, so no
+        # point can be placed twice in one stage.
+        tagged = self._arm_tags.take(dirs, axis=0)
+        tagged += (keys * 8)[:, None]
+        tagged = np.sort(tagged.ravel())
+        ends = tagged >> 3
+        edge = np.ones(len(ends) + 1, dtype=bool)
+        np.not_equal(ends[1:], ends[:-1], out=edge[1:-1])
+        runs = np.flatnonzero(edge)
+        starts, cnt = runs[:-1], runs[1:] - runs[:-1]
+        flat[ends.take(starts)] += cnt.astype(np.uint8)
+        single = tagged.take(starts[cnt == 1])
+        self._front = single[single & 7 != 0]
+        self._placed.append((x.astype(np.int32), y.astype(np.int32), dirs.astype(np.int8)))
+        self.counts.append(len(keys))
+        self.stage += 1
 
     def added_per_stage(self) -> IntSequence:
         return IntSequence(0, tuple(self.counts), self.variant, "simulate")
@@ -51,376 +194,63 @@ class _StructureBase:
     def total(self) -> int:
         return sum(self.counts)
 
+    def stage_segments(self, n: int) -> tuple[Segment, ...]:
+        """The unit segments (or Y arms) of stage n, built once on first request."""
+        segs = self._segs.get(n)
+        if segs is None:
+            xs, ys, dirs = self._placed[n]
+            segs = self._segs[n] = tuple(
+                Segment(n, o, x, y)
+                for d, draws in enumerate(self._row.draws)
+                for o, dx, dy in draws
+                for x, y in zip((xs[dirs == d] + dx).tolist(), (ys[dirs == d] + dy).tolist())
+            )
+        return segs
+
     def iter_segments(self):
-        raise NotImplementedError
+        for n in range(self.stage + 1):
+            yield from self.stage_segments(n)
+
+    def stage_midpoints(self, n: int) -> tuple[str, np.ndarray, np.ndarray]:
+        """(orient, x, y) of the toothpicks of stage n, as arrays."""
+        if self._row.draws is not _TOOTHPICKS:
+            raise ValueError(f"{self.variant} elements are not single toothpicks")
+        xs, ys, _ = self._placed[n]
+        return "vh"[(self._row.seed[0][2] + n - 1) % 2], xs, ys
 
     def exposed_points(self) -> set[tuple[int, int]]:
-        raise NotImplementedError
+        xs, ys = np.nonzero(self.occ == 1)
+        return set(zip((xs - self.half).tolist(), (ys - self.half).tolist()))
 
     def dump(self) -> str:
         """One line per segment, `stage orient x2 y2`, sorted; byte-stable."""
         rows = sorted((s.stage, s.orient, s.x, s.y) for s in self.iter_segments())
         return "".join(f"{st} {o} {x} {y}\n" for st, o, x, y in rows)
 
-    def grow(self, stages: int):
-        if stages < 0:
-            raise ValueError("n must be >= 0")
-        for _ in range(stages):
-            self._step()
-        return self
 
-    def _step(self):
-        raise NotImplementedError
+def new_structure(variant: str, fast: bool | None = None) -> _Structure:
+    """An empty structure of one of the five variants.
 
-
-def _perp(orient: str) -> str:
-    return "h" if orient == "v" else "v"
-
-
-def _ends(orient: str, x: int, y: int):
-    if orient == "v":
-        return (x, y - 1), (x, y + 1)
-    return (x - 1, y), (x + 1, y)
-
-
-class DictStructure(_StructureBase):
-    """Reference engine for the plain, corner and leftist variants.
-
-    The frontier holds candidate spawn points with their parent
-    orientation.  Plain and leftist frontiers live for one stage; the
-    corner variant keeps points whose placement the quadrant rule
-    forbids, since they stay exposed indefinitely.
+    `fast` is accepted and ignored: every variant has one engine.
     """
-
-    def __init__(self, variant: str):
-        if variant not in ("toothpick", "corner", "leftist"):
-            raise ValueError(f"unknown variant: {variant}")
-        self.variant = variant
-        self.stage = 0
-        self.counts = [0]
-        self.occ: dict[tuple[int, int], int] = {}
-        self.by_stage: list[list[Segment]] = [[]]
-        # (point, parent orientation); right ends of leftist horizontals
-        # never enter the frontier at all.
-        self.frontier: list[tuple[tuple[int, int], str]] = []
-        if variant == "corner":
-            # Half-toothpick from the origin to (1/2, 0); uncounted.
-            self.occ[(0, 0)] = 1
-            self.occ[(1, 0)] = 1
-            self.by_stage[0].append(Segment(0, "s", 0, 0))
-            self.frontier = [((0, 0), "h"), ((1, 0), "h")]
-
-    def _seed_orient(self) -> str:
-        return "h" if self.variant == "leftist" else "v"
-
-    def _stage_orient(self, n: int) -> str:
-        # Stage parity fixes the orientation: the seed orientation on odd
-        # stages, its perpendicular on even ones.
-        seed = self._seed_orient()
-        return seed if n % 2 == 1 else _perp(seed)
-
-    def _corner_allowed(self, p: tuple[int, int]) -> bool:
-        # A candidate violates the excluded-quadrant rule exactly when its
-        # midpoint lies in the closed third quadrant: either it crosses the
-        # open quadrant or it lies along a negative axis.
-        return not (p[0] <= 0 and p[1] <= 0)
-
-    def _place(self, n: int, orient: str, p: tuple[int, int]) -> None:
-        occ = self.occ
-        assert occ.get(p, 0) < MID, f"duplicate placement at {p}"
-        occ[p] = occ.get(p, 0) + MID
-        self.by_stage[n].append(Segment(n, orient, p[0], p[1]))
-        leftist_h = self.variant == "leftist" and orient == "h"
-        for e in _ends(orient, *p):
-            occ[e] = occ.get(e, 0) + 1
-            if leftist_h and e[0] > p[0]:
-                continue
-            self.frontier.append((e, orient))
-
-    def _step(self) -> None:
-        n = self.stage + 1
-        self.by_stage.append([])
-        if n == 1 and self.variant != "corner":
-            orient = self._stage_orient(1)
-            self.frontier = []
-            self._place(1, orient, (0, 0))
-            self.counts.append(1)
-            self.stage = 1
-            return
-        orient = self._stage_orient(n)
-        occ = self.occ
-        spawn: list[tuple[int, int]] = []
-        keep: list[tuple[tuple[int, int], str]] = []
-        for p, parent in self.frontier:
-            if occ[p] != 1:
-                continue  # covered: never exposed again
-            if _perp(parent) != orient:
-                keep.append((p, parent))  # wrong parity; only corner leftovers
-                continue
-            if self.variant == "corner" and not self._corner_allowed(p):
-                keep.append((p, parent))
-                continue
-            spawn.append(p)
-        self.frontier = keep
-        for p in spawn:
-            self._place(n, orient, p)
-        self.counts.append(len(spawn))
-        self.stage = n
-
-    def iter_segments(self):
-        for segs in self.by_stage:
-            yield from segs
-
-    def stage_segments(self, n: int) -> list[Segment]:
-        return list(self.by_stage[n])
-
-    def exposed_points(self) -> set[tuple[int, int]]:
-        return {p for p, v in self.occ.items() if v == 1}
+    if variant not in _ROWS:
+        raise ValueError(f"unknown variant: {variant!r} (expected one of {VARIANTS})")
+    return _Structure(variant)
 
 
-class FastPlainStructure(_StructureBase):
-    """Vectorized plain-variant engine on a dense occupancy array.
-
-    Per stage it touches only the endpoints created in the previous
-    stage, so the total work is proportional to the number of segments;
-    growing to stage 4096 (about 1.1e7 toothpicks) takes a few seconds
-    and well under 2 GB.
-    """
-
-    variant = "toothpick"
-
-    def __init__(self):
-        self.stage = 0
-        self.counts = [0]
-        self.half = 0
-        self.occ: np.ndarray | None = None
-        self.fx = np.empty(0, dtype=np.int64)
-        self.fy = np.empty(0, dtype=np.int64)
-        self.mids: list[tuple[str, np.ndarray, np.ndarray]] = [("v", self.fx, self.fy)]
-
-    def _extent_for(self, n: int) -> int:
-        # After stage n the structure fits inside doubled radius
-        # 2**(ceil(log2 n) - 1); pad by 2 for the next stage's endpoints.
-        k = max(1, (max(n, 1) - 1).bit_length())
-        return (1 << max(0, k - 1)) + 2
-
-    def _ensure(self, target_stage: int) -> None:
-        need = self._extent_for(target_stage)
-        if need <= self.half:
-            return
-        w = 2 * need + 1
-        occ = np.zeros((w, w), dtype=np.uint8)
-        if self.occ is not None:
-            old = 2 * self.half + 1
-            off = need - self.half
-            occ[off : off + old, off : off + old] = self.occ
-        self.occ = occ
-        self.half = need
-
-    def grow(self, stages: int):
-        self._ensure(self.stage + stages)
-        return super().grow(stages)
-
-    def _step(self) -> None:
-        n = self.stage + 1
-        self._ensure(n)
-        occ, h = self.occ, self.half
-        vertical = n % 2 == 1
-        if n == 1:
-            qx = np.zeros(1, dtype=np.int64)
-            qy = np.zeros(1, dtype=np.int64)
-        else:
-            vals = occ[self.fx + h, self.fy + h]
-            mask = vals == 1
-            qx, qy = self.fx[mask], self.fy[mask]
-        assert (occ[qx + h, qy + h] < MID).all(), "duplicate placement"
-        occ[qx + h, qy + h] += MID
-        dx, dy = (0, 1) if vertical else (1, 0)
-        ex = np.concatenate([qx + dx, qx - dx])
-        ey = np.concatenate([qy + dy, qy - dy])
-        flat = occ.ravel()
-        idx = (ex + h) * occ.shape[1] + (ey + h)
-        uniq, cnt = np.unique(idx, return_counts=True)
-        flat[uniq] += cnt.astype(np.uint8)
-        self.fx, self.fy = ex, ey
-        self.mids.append(("v" if vertical else "h", qx, qy))
-        self.counts.append(len(qx))
-        self.stage = n
-
-    def iter_segments(self):
-        for stage, (orient, qx, qy) in enumerate(self.mids):
-            for x, y in zip(qx.tolist(), qy.tolist()):
-                yield Segment(stage, orient, x, y)
-
-    def stage_segments(self, n: int) -> list[Segment]:
-        orient, qx, qy = self.mids[n]
-        return [Segment(n, orient, x, y) for x, y in zip(qx.tolist(), qy.tolist())]
-
-    def stage_midpoints(self, n: int) -> tuple[str, np.ndarray, np.ndarray]:
-        return self.mids[n]
-
-    def exposed_points(self) -> set[tuple[int, int]]:
-        h = self.occ.shape[0] // 2 if self.occ is not None else 0
-        out = set()
-        for x, y in zip(self.fx.tolist(), self.fy.tolist()):
-            if self.occ[x + h, y + h] == 1:
-                out.add((x, y))
-        return out
-
-
-class TToothpickStructure(_StructureBase):
-    """T-shaped toothpicks: a length-2 crossbar plus a length-1 stem.
-
-    All three endpoints sit at doubled distance 2 from the midpoint, so
-    the outward direction of a new stem is (endpoint - parent midpoint)/2.
-    Two same-stage proposals for one location cannot arise (an exposed
-    point has a unique parent), which the placement assertion enforces.
-    """
-
-    variant = "t"
-
-    def __init__(self):
-        self.stage = 0
-        self.counts = [0]
-        self.occ: dict[tuple[int, int], int] = {}
-        self.tees: list[list[tuple[tuple[int, int], tuple[int, int]]]] = [[]]
-        self.frontier: list[tuple[tuple[int, int], tuple[int, int]]] = []
-
-    def _place(self, n: int, p: tuple[int, int], u: tuple[int, int]) -> None:
-        occ = self.occ
-        assert occ.get(p, 0) < MID, f"duplicate T placement at {p}"
-        occ[p] = occ.get(p, 0) + MID
-        self.tees[n].append((p, u))
-        v = (-u[1], u[0])
-        for d in (u, v, (-v[0], -v[1])):
-            e = (p[0] + 2 * d[0], p[1] + 2 * d[1])
-            occ[e] = occ.get(e, 0) + 1
-            self.frontier.append((e, d))
-
-    def _step(self) -> None:
-        n = self.stage + 1
-        self.tees.append([])
-        if n == 1:
-            self.frontier = []
-            self._place(1, (0, 0), (0, -1))  # stem vertical, pointing down
-            self.counts.append(1)
-            self.stage = 1
-            return
-        occ = self.occ
-        spawn = [(p, u) for p, u in self.frontier if occ[p] == 1]
-        self.frontier = []
-        for p, u in spawn:
-            self._place(n, p, u)
-        self.counts.append(len(spawn))
-        self.stage = n
-
-    def iter_segments(self):
-        for stage, tees in enumerate(self.tees):
-            for (px, py), u in tees:
-                v = (-u[1], u[0])
-                stem_o = "v" if u[0] == 0 else "h"
-                yield Segment(stage, stem_o, px + u[0], py + u[1])
-                bar_o = _perp(stem_o)
-                yield Segment(stage, bar_o, px + v[0], py + v[1])
-                yield Segment(stage, bar_o, px - v[0], py - v[1])
-
-    def exposed_points(self) -> set[tuple[int, int]]:
-        return {p for p, v in self.occ.items() if v == 1}
-
-
-Y_ARMS = ((1, 0), (-1, 1), (0, -1))
-
-
-class YToothpickStructure(_StructureBase):
-    """Y-shaped toothpicks on the triangular lattice, axial coordinates.
-
-    Arms follow the three lattice directions of Y_ARMS.  A new Y is
-    centered on each exposed arm tip; keeping the parent's orientation is
-    the one choice whose arms cannot overlap any existing arm (the
-    reversed direction of an arm is never in Y_ARMS).  No closed form is
-    known for this variant; the engine is held against a pinned fixture
-    only.
-    """
-
-    variant = "y"
-
-    def __init__(self):
-        self.stage = 0
-        self.counts = [0]
-        self.occ: dict[tuple[int, int], int] = {}
-        self.centers: list[list[tuple[int, int]]] = [[]]
-        self.frontier: list[tuple[int, int]] = []
-
-    def _place(self, n: int, p: tuple[int, int]) -> None:
-        occ = self.occ
-        assert occ.get(p, 0) < MID, f"duplicate Y placement at {p}"
-        occ[p] = occ.get(p, 0) + MID
-        self.centers[n].append(p)
-        for a in Y_ARMS:
-            e = (p[0] + a[0], p[1] + a[1])
-            occ[e] = occ.get(e, 0) + 1
-            self.frontier.append(e)
-
-    def _step(self) -> None:
-        n = self.stage + 1
-        self.centers.append([])
-        if n == 1:
-            self.frontier = []
-            self._place(1, (0, 0))
-            self.counts.append(1)
-            self.stage = 1
-            return
-        occ = self.occ
-        spawn = [p for p in self.frontier if occ[p] == 1]
-        self.frontier = []
-        for p in spawn:
-            self._place(n, p)
-        self.counts.append(len(spawn))
-        self.stage = n
-
-    def iter_segments(self):
-        for stage, centers in enumerate(self.centers):
-            for cx, cy in centers:
-                for i in range(3):
-                    yield Segment(stage, f"y{i}", cx, cy)
-
-    def exposed_points(self) -> set[tuple[int, int]]:
-        return {p for p, v in self.occ.items() if v == 1}
-
-
-def new_structure(variant: str, fast: bool | None = None) -> _StructureBase:
-    """Build an empty structure for one of the five variants.
-
-    The plain variant defaults to the vectorized engine; pass fast=False
-    for the dictionary engine (the two are compared bit-for-bit in tests).
-    """
-    if variant == "t":
-        return TToothpickStructure()
-    if variant == "y":
-        return YToothpickStructure()
-    if variant in ("toothpick", "corner", "leftist"):
-        if fast is None:
-            fast = variant == "toothpick"
-        if fast:
-            if variant != "toothpick":
-                raise ValueError("fast engine only supports the plain variant")
-            return FastPlainStructure()
-        return DictStructure(variant)
-    raise ValueError(f"unknown variant: {variant!r} (expected one of {VARIANTS})")
-
-
-def grow(variant: str, stages: int, fast: bool | None = None) -> _StructureBase:
-    return new_structure(variant, fast=fast).grow(stages)
+def grow(variant: str, stages: int, fast: bool | None = None) -> _Structure:
+    """`new_structure(variant)` grown by `stages`; `fast` is ignored."""
+    return new_structure(variant).grow(stages)
 
 
 def simulate_t_toothpick(n: int) -> IntSequence:
     """Per-stage T-toothpick counts tau(0..n) (A160173)."""
-    return TToothpickStructure().grow(n).added_per_stage()
+    return grow("t", n).added_per_stage()
 
 
 def simulate_y_toothpick(n: int) -> IntSequence:
     """Per-stage Y-toothpick counts y(0..n) (A160121-style additions)."""
-    return YToothpickStructure().grow(n).added_per_stage()
+    return grow("y", n).added_per_stage()
 
 
 def segment_extent(seg: Segment) -> tuple[int, int, int, int]:
@@ -434,7 +264,7 @@ def segment_extent(seg: Segment) -> tuple[int, int, int, int]:
     raise ValueError(f"no square-lattice extent for orient {seg.orient!r}")
 
 
-def bounding_box(structure: _StructureBase) -> tuple[int, int, int, int]:
+def bounding_box(structure: _Structure) -> tuple[int, int, int, int]:
     """Doubled (min_x, min_y, max_x, max_y) over all segments."""
     mnx = mny = mxx = mxy = None
     for seg in structure.iter_segments():
@@ -460,7 +290,7 @@ class BoundaryReport:
     interior_exposed_ends: int
 
 
-def corner_boundary_snapshot(structure: _StructureBase) -> BoundaryReport:
+def corner_boundary_snapshot(structure: _Structure) -> BoundaryReport:
     """Measure the corner structure against its stage-(2**k - 1) shape.
 
     The structure is a (2**(k-1) - 1/2) x (2**(k-1) - 1) rectangle with

@@ -227,7 +227,7 @@ def _fixture_gen(name, offset=0):
 
 
 @functools.lru_cache(maxsize=64)
-def _sim_counts(variant, n, fast=None) -> IntSequence:
+def _sim_counts(variant, n) -> IntSequence:
     """Per-stage counts of one pure simulation, run once per (variant, n).
 
     A str names a segment variant for `engine.grow`; anything else is a
@@ -235,12 +235,12 @@ def _sim_counts(variant, n, fast=None) -> IntSequence:
     never the structure or grid, so a cache hit costs no memory.
     """
     if isinstance(variant, str):
-        return engine.grow(variant, n, fast=fast).added_per_stage()
+        return engine.grow(variant, n).added_per_stage()
     return gridca.run(variant, n)
 
 
-def _counts(variant, fast=None):
-    return lambda n: _sim_counts(variant, n, fast)
+def _counts(variant):
+    return lambda n: _sim_counts(variant, n)
 
 
 def _sums(seq_fn):
@@ -264,7 +264,7 @@ def _local_minima_seq(n):
 def _rho_geometric(n):
     from .analysis import rectangle_counts_by_stage
 
-    s = engine.grow("corner", n, fast=False)
+    s = engine.grow("corner", n)
     totals = rectangle_counts_by_stage(s)
     diffs = [totals[0]] + [totals[i] - totals[i - 1] for i in range(1, len(totals))]
     return IntSequence(0, tuple(diffs), "rect_rho", "simulate")
@@ -308,7 +308,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "corner_c",
         "A152980",
         [
-            Generator("simulate", _from_sim(_counts("corner", fast=False), "c"), SIM),
+            Generator("simulate", _from_sim(_counts("corner"), "c"), SIM),
             Generator("recurrence", _from_prefix(rec.corner_c_prefix, "c"), REC),
             Generator(
                 "recurrence",
@@ -326,7 +326,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "corner_C",
         "A153006",
         [
-            Generator("simulate", _from_sim(_sums(_counts("corner", fast=False)), "C"), SIM),
+            Generator("simulate", _from_sim(_sums(_counts("corner")), "C"), SIM),
             Generator("recurrence", _from_prefix(rec.corner_C_prefix, "C"), REC),
             _fixture_gen("A153006"),
         ],
@@ -335,7 +335,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "leftist_l",
         "A151565",
         [
-            Generator("simulate", _from_sim(_counts("leftist", fast=False), "l"), SIM),
+            Generator("simulate", _from_sim(_counts("leftist"), "l"), SIM),
             Generator("closedform", _from_scalar(cf.leftist_l, "l"), REC),
             _fixture_gen("A151565"),
         ],
@@ -344,7 +344,7 @@ def bindings() -> dict[str, SequenceBinding]:
         "leftist_L",
         "A151566",
         [
-            Generator("simulate", _from_sim(_sums(_counts("leftist", fast=False)), "L"), SIM),
+            Generator("simulate", _from_sim(_sums(_counts("leftist")), "L"), SIM),
             Generator("closedform", _sums(_from_scalar(cf.leftist_l, "L")), 4096),
             _fixture_gen("A151566"),
         ],

@@ -56,15 +56,15 @@ def test_criterion_1_table_goldens():
     # corner c, C for n <= 39
     assert rec.corner_c_prefix(39) == fx["A152980"]
     assert series.corner_gf(40).coeffs == fx["A152980"]
-    assert engine.grow("corner", 39, fast=False).counts == fx["A152980"]
+    assert engine.grow("corner", 39).counts == fx["A152980"]
     assert rec.corner_C_prefix(39) == fx["A153006"]
     # rectangles rho, r, R for n <= 15, recurrence and geometry
     assert rec.rect_rho_prefix(15) == fx["A168131"]
     assert rec.rect_r_prefix(15) == fx["A160125"]
     assert rec.rect_R_prefix(15) == fx["A160124"]
-    s = engine.grow("toothpick", 15, fast=False)
+    s = engine.grow("toothpick", 15)
     assert analysis.rectangle_counts_by_stage(s) == fx["A160124"]
-    sc = engine.grow("corner", 15, fast=False)
+    sc = engine.grow("corner", 15)
     assert analysis.rectangle_counts_by_stage(sc) == [
         sum(fx["A168131"][: i + 1]) for i in range(16)
     ]
@@ -75,7 +75,7 @@ def test_criterion_1_table_goldens():
     assert list(gridca.run(gridca.uw_von_neumann(2), 49).terms) == fx["A147582"]
     assert rec.uw_U_prefix(49) == fx["A147562"]
     # leftist l, L for n <= 15
-    assert engine.grow("leftist", 15, fast=False).counts == fx["A151565"]
+    assert engine.grow("leftist", 15).counts == fx["A151565"]
     assert [cf.leftist_l(n) for n in range(16)] == fx["A151565"]
     acc, L = 0, []
     for n in range(16):
@@ -141,7 +141,7 @@ def test_criterion_3_theorem4_property():
 def test_criterion_4_structural_theorems():
     # corner shape at stages 2**k - 1
     for k in range(2, 9):
-        rep = engine.corner_boundary_snapshot(engine.grow("corner", (1 << k) - 1, fast=False))
+        rep = engine.corner_boundary_snapshot(engine.grow("corner", (1 << k) - 1))
         assert rep.height == Fraction(1 << (k - 1)) - Fraction(1, 2)
         assert rep.width == (1 << (k - 1)) - 1
         assert rep.top_exposed_ends == 1 << (k - 1)
@@ -155,7 +155,7 @@ def test_criterion_4_structural_theorems():
     # every bounded face is a rectangle at every stage through 256,
     # and the counts match the recurrence
     R = rec.rect_R_prefix(256)
-    s = engine.new_structure("toothpick", fast=False)
+    s = engine.new_structure("toothpick")
     for n in range(1, 257):
         s.grow(1)
         rep = analysis.detect_rectangles(s)  # raises on a non-rectangle
@@ -224,7 +224,7 @@ def test_criterion_6_identities():
 
 
 def test_criterion_7_leftist_sierpinski():
-    s = engine.grow("leftist", 127, fast=False)
+    s = engine.grow("leftist", 127)
     rows: dict[int, set[int]] = {}
     for seg in s.iter_segments():
         if seg.orient == "h" and seg.stage % 2 == 1:
@@ -233,7 +233,7 @@ def test_criterion_7_leftist_sierpinski():
         want = {2 * j - r for j in range(r + 1) if math.comb(r, j) % 2 == 1}
         assert rows[r] == want, r
         assert len(rows[r]) == cf.gould(r)
-    long = engine.grow("leftist", 1 << 12, fast=False)
+    long = engine.grow("leftist", 1 << 12)
     assert long.counts == [cf.leftist_l(n) for n in range((1 << 12) + 1)]
     _report(7, "64 leftist rows equal Pascal mod 2; counts match 2**wt to n = 4096")
 

@@ -5,23 +5,23 @@ import pytest
 from toothpicks import analysis
 from toothpicks import recurrences as rec
 from toothpicks.engine import grow, new_structure
-from toothpicks.gridca import MOORE8, TOOTHPICK_DIGRAPH, CellGrid, uw_von_neumann
+from toothpicks.gridca import MALTESE, MOORE8, TOOTHPICK_DIGRAPH, CellGrid, uw_von_neumann
 
 
 def test_detect_rectangles_examples():
-    assert analysis.detect_rectangles(grow("toothpick", 7, fast=False)).count == 18
-    assert analysis.detect_rectangles(grow("toothpick", 3, fast=False)).count == 2
-    assert analysis.detect_rectangles(grow("toothpick", 2, fast=False)).count == 0
+    assert analysis.detect_rectangles(grow("toothpick", 7)).count == 18
+    assert analysis.detect_rectangles(grow("toothpick", 3)).count == 2
+    assert analysis.detect_rectangles(grow("toothpick", 2)).count == 0
 
 
 def test_detect_rectangles_extents():
-    rep = analysis.detect_rectangles(grow("toothpick", 3, fast=False))
+    rep = analysis.detect_rectangles(grow("toothpick", 3))
     assert rep.rectangles == ((-1, -1, 0, 1), (0, -1, 1, 1))
 
 
 def test_rectangles_match_recurrence_per_stage():
     R = rec.rect_R_prefix(96)
-    s = new_structure("toothpick", fast=False)
+    s = new_structure("toothpick")
     for n in range(1, 97):
         s.grow(1)
         assert analysis.detect_rectangles(s).count == R[n], n
@@ -31,7 +31,7 @@ def test_rectangles_match_recurrence_per_stage():
 def test_corner_rectangles_count_against_quadrant_walls():
     rho = rec.rect_rho_prefix(96)
     sums = [sum(rho[: i + 1]) for i in range(97)]
-    s = new_structure("corner", fast=False)
+    s = new_structure("corner")
     for n in range(1, 97):
         s.grow(1)
         assert analysis.detect_rectangles(s).count == sums[n], n
@@ -102,15 +102,27 @@ def test_tree_checks():
     assert analysis.tree_check(CellGrid(uw_von_neumann(2)).grow(16))
     assert analysis.tree_check(CellGrid(TOOTHPICK_DIGRAPH).grow(32))
     assert analysis.tree_check(grow("toothpick", 64))
+    assert analysis.tree_check(grow("corner", 64))
+    assert analysis.tree_check(grow("leftist", 64))
+    # the graph is on the ON cells only; a DEAD cell is not part of it
+    assert analysis.tree_check(CellGrid(MALTESE).grow(20))
     # no tree claim for the eight-neighbor rule; informational only
     assert analysis.tree_check(CellGrid(MOORE8).grow(8)) is False
+
+
+@pytest.mark.parametrize("variant", ["t", "y"])
+def test_tree_check_rejects_t_and_y(variant):
+    # a T or a Y is one element drawn as three segments, so the
+    # one-parent-per-toothpick walk does not apply
+    with pytest.raises(ValueError):
+        analysis.tree_check(grow(variant, 8))
 
 
 def test_quadrant_Q():
     assert analysis.quadrant_Q(3) == 1
     assert analysis.quadrant_Q(9) == 11
     assert analysis.quadrant_Q(0) == 0
-    s = grow("toothpick", 128, fast=False)
+    s = grow("toothpick", 128)
     assert analysis.quadrant_count_geometric(s) == analysis.quadrant_Q(128)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from toothpicks import gridca
 from toothpicks.cli import main
 from toothpicks.verify import parse_bfile
 
@@ -84,6 +85,22 @@ def test_analyze_tree(capsys):
     assert "tree" in out
 
 
+@pytest.mark.parametrize("variant", ["bogus", "t", "y"])
+def test_analyze_tree_refuses_other_variants(capsys, variant):
+    code, out, err = run(capsys, "analyze", "--check", "tree", "--variant", variant,
+                         "--nmax", "20")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice" in err
+
+
+def test_analyze_tree_on_segment_variant(capsys):
+    code, out, _ = run(capsys, "analyze", "--check", "tree", "--variant", "leftist",
+                       "--nmax", "20")
+    assert code == 0
+    assert out.strip() == "leftist at n=20: tree"
+
+
 def test_simulate_and_dump(tmp_path, capsys):
     dump = tmp_path / "s.dump"
     code, out, _ = run(capsys, "simulate", "--variant", "toothpick",
@@ -105,6 +122,20 @@ def test_render_writes_svg(tmp_path, capsys):
                      "--out", str(out_file))
     assert code == 0
     assert out_file.read_text().count("<line") == 23
+
+
+@pytest.mark.parametrize("variant", ["uw1", "uw3", "uw4"])
+def test_render_refuses_grids_off_the_plane(tmp_path, capsys, monkeypatch, variant):
+    def no_growth(*_):
+        raise AssertionError("grew a grid that cannot be rendered")
+
+    monkeypatch.setattr(gridca.CellGrid, "grow", no_growth)
+    out_file = tmp_path / "pic.svg"
+    code, _, err = run(capsys, "render", "--variant", variant, "--stages", "2",
+                       "--out", str(out_file))
+    assert code == 2
+    assert "invalid choice" in err
+    assert not out_file.exists()
 
 
 def test_verify_single_binding(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from toothpicks import closedform as cf
 from toothpicks import engine
 from toothpicks.engine import (
-    MID,
     Y_ARMS,
     bounding_box,
     corner_boundary_snapshot,
@@ -15,88 +15,84 @@ from toothpicks.engine import (
 from toothpicks.verify import load_fixture
 
 
-def occupancy_from_segments(structure):
-    """Brute-force endpoint/midpoint occupancy, recomputed from scratch."""
-    occ = {}
-
-    def end(p):
-        occ[p] = occ.get(p, 0) + 1
-
-    def mid(p):
-        occ[p] = occ.get(p, 0) + MID
-
+def brute_exposed(structure):
+    """Exposed points recomputed from scratch from the drawn segments: ends
+    of exactly one segment that are no segment's midpoint or Y center."""
+    ends, mids = {}, set()
     for s in structure.iter_segments():
         if s.orient == "s":
-            end((s.x, s.y))
-            end((s.x + 1, s.y))
-        elif s.orient in ("h", "v"):
-            mid((s.x, s.y))
-            for e in (
-                (s.x, s.y - 1), (s.x, s.y + 1)
-            ) if s.orient == "v" else ((s.x - 1, s.y), (s.x + 1, s.y)):
-                end(e)
-    return occ
+            tips = ((s.x, s.y), (s.x + 1, s.y))
+        elif s.orient == "v":
+            tips = ((s.x, s.y - 1), (s.x, s.y + 1))
+        elif s.orient == "h":
+            tips = ((s.x - 1, s.y), (s.x + 1, s.y))
+        else:
+            ax, ay = Y_ARMS[int(s.orient[1])]
+            tips = ((s.x + ax, s.y + ay),)
+        if s.orient != "s":
+            mids.add((s.x, s.y))
+        for p in tips:
+            ends[p] = ends.get(p, 0) + 1
+    return {p for p, k in ends.items() if k == 1 and p not in mids}
 
 
-def brute_exposed(structure):
-    if structure.variant == "t":
-        occ = {}
-        for (p, u), stage in (
-            (t, st) for st, tees in enumerate(structure.tees) for t in tees
-        ):
-            occ[p] = occ.get(p, 0) + MID
-            v = (-u[1], u[0])
-            for d in (u, v, (-v[0], -v[1])):
-                e = (p[0] + 2 * d[0], p[1] + 2 * d[1])
-                occ[e] = occ.get(e, 0) + 1
-        return {p for p, v in occ.items() if v == 1}
-    if structure.variant == "y":
-        occ = {}
-        for centers in structure.centers:
-            for c in centers:
-                occ[c] = occ.get(c, 0) + MID
-                for a in Y_ARMS:
-                    e = (c[0] + a[0], c[1] + a[1])
-                    occ[e] = occ.get(e, 0) + 1
-        return {p for p, v in occ.items() if v == 1}
-    return {p for p, v in occupancy_from_segments(structure).items() if v == 1}
+# SHA-256 of grow(variant, 128).dump(), made with the per-variant engines
+# that this stepper replaced.
+DUMP_128_SHA256 = {
+    "toothpick": "588e727f59b01c973a3cbfff4e5f0b141fbf017021ce380055a23e239d34ba64",
+    "corner": "c00dd38003661ae6ef770a08b42b2ffa5e62f974bf7ec0e980c179986d63e5ed",
+    "leftist": "af6ee98f5f007233e3046c42e311ae02aefbbc0ead1c07d967f877ab576bb48a",
+    "t": "2386a083a1e3c0386fcf1a3a662d46681f32ed321c9c387bd721a96bf7fab944",
+    "y": "41194c3f21534cb427db5d3884d2ff20bf36735fb9757a4d26dc6bac46674ceb",
+}
 
 
 def test_counts_match_published_terms():
     assert grow("toothpick", 49).counts == list(load_fixture("A139251").terms)
-    assert grow("toothpick", 49, fast=False).counts == list(load_fixture("A139251").terms)
-    assert grow("corner", 39, fast=False).counts == list(load_fixture("A152980").terms)
-    assert grow("leftist", 15, fast=False).counts == list(load_fixture("A151565").terms)
+    assert grow("corner", 39).counts == list(load_fixture("A152980").terms)
+    assert grow("leftist", 15).counts == list(load_fixture("A151565").terms)
 
 
 def test_totals_spot_values():
     assert grow("toothpick", 10).total() == 55
     assert grow("toothpick", 53).total() == 1379
     assert grow("toothpick", 0).total() == 0
-    assert grow("corner", 7, fast=False).total() == 28
+    assert grow("corner", 7).total() == 28
 
 
 def test_added_per_stage_views():
-    s = grow("corner", 14, fast=False)
+    s = grow("corner", 14)
     assert s.added_per_stage().value(14) == 22
-    sl = grow("leftist", 15, fast=False)
+    sl = grow("leftist", 15)
     assert sl.added_per_stage().value(15) == 8
     assert sl.total() == 46
 
 
-def test_fast_and_dict_engines_are_bit_identical():
-    a = grow("toothpick", 64)
-    b = grow("toothpick", 64, fast=False)
-    assert a.counts == b.counts
-    assert a.dump() == b.dump()
-    assert a.exposed_points() == b.exposed_points()
+@pytest.mark.parametrize("variant", sorted(DUMP_128_SHA256))
+def test_dump_matches_old_engine_hash(variant):
+    dump = grow(variant, 128).dump()
+    assert hashlib.sha256(dump.encode()).hexdigest() == DUMP_128_SHA256[variant]
 
 
-@pytest.mark.parametrize("variant,fast", [
-    ("toothpick", True), ("toothpick", False), ("corner", False), ("leftist", False),
-])
-def test_exposure_matches_brute_force(variant, fast):
-    s = new_structure(variant, fast=fast)
+@pytest.mark.parametrize("variant", engine.VARIANTS)
+def test_resumed_growth_matches_one_call(variant):
+    s = new_structure(variant)
+    for stages in (0, 3, 1, 36):
+        s.grow(stages)
+    whole = grow(variant, 40)
+    assert s.stage == 40 and s.counts == whole.counts
+    assert s.dump() == whole.dump()
+
+
+@pytest.mark.parametrize("variant", engine.VARIANTS)
+def test_no_unit_segment_drawn_twice(variant):
+    drawn = [(g.orient, g.x, g.y) for g in grow(variant, 128).iter_segments()]
+    assert len(set(drawn)) == len(drawn)
+
+
+@pytest.mark.parametrize("variant", ["toothpick", "corner", "leftist"])
+def test_exposure_matches_brute_force(variant):
+    s = new_structure(variant)
     for _ in range(64):
         s.grow(1)
     assert s.exposed_points() == brute_exposed(s)
@@ -110,7 +106,7 @@ def test_exposure_brute_force_t_and_y():
 
 def test_orientation_parity():
     for variant, odd in (("toothpick", "v"), ("corner", "v"), ("leftist", "h")):
-        s = grow(variant, 33, fast=False)
+        s = grow(variant, 33)
         for seg in s.iter_segments():
             if seg.orient == "s":
                 continue
@@ -132,7 +128,7 @@ def test_post_power_of_two_shape():
 
 def test_corner_boundary_snapshots():
     for k in range(2, 9):
-        s = grow("corner", (1 << k) - 1, fast=False)
+        s = grow("corner", (1 << k) - 1)
         rep = corner_boundary_snapshot(s)
         assert rep.k == k
         assert rep.height == Fraction(1 << (k - 1)) - Fraction(1, 2)
@@ -144,9 +140,9 @@ def test_corner_boundary_snapshots():
 
 def test_corner_snapshot_rejects_other_stages():
     with pytest.raises(ValueError):
-        corner_boundary_snapshot(grow("corner", 6, fast=False))
+        corner_boundary_snapshot(grow("corner", 6))
     with pytest.raises(ValueError):
-        corner_boundary_snapshot(grow("toothpick", 7, fast=False))
+        corner_boundary_snapshot(grow("toothpick", 7))
 
 
 def test_t_toothpick_counts():
@@ -190,8 +186,18 @@ def test_quadrant_relation_geometric():
             assert total_all == 4 * total_q + 3, n
 
 
+def test_stage_midpoints_orientation():
+    assert grow("corner", 4).stage_midpoints(3)[0] == "v"
+    assert grow("leftist", 4).stage_midpoints(3)[0] == "h"
+    orient, qx, qy = grow("leftist", 4).stage_midpoints(4)
+    assert orient == "v" and len(qx) == len(qy) == 2
+    for variant in ("t", "y"):  # three segments per element
+        with pytest.raises(ValueError):
+            grow(variant, 3).stage_midpoints(3)
+
+
 def test_dump_round_trip_fields():
-    s = grow("corner", 5, fast=False)
+    s = grow("corner", 5)
     lines = s.dump().splitlines()
     assert lines == sorted(lines, key=lambda ln: (int(ln.split()[0]), ln.split()[1],
                                                   int(ln.split()[2]), int(ln.split()[3])))
@@ -202,5 +208,5 @@ def test_dump_round_trip_fields():
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         new_structure("hexagon")
-    with pytest.raises(ValueError):
-        new_structure("corner", fast=True)
+    # `fast` is accepted for old callers and ignored
+    assert new_structure("corner", fast=True).grow(7).counts == grow("corner", 7).counts

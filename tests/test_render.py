@@ -20,15 +20,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_line_counts():
-    svg = render_structure(grow("toothpick", 10, fast=False))
+    svg = render_structure(grow("toothpick", 10))
     assert svg.count("<line") == 55
-    svg = render_structure(grow("corner", 7, fast=False))
+    svg = render_structure(grow("corner", 7))
     assert svg.count('class="seed"') == 1
     assert svg.count("<line") == 29  # 28 toothpicks + the half-length seed mark
 
 
 def test_empty_structure_renders():
-    svg = render_structure(new_structure("toothpick", fast=False))
+    svg = render_structure(new_structure("toothpick"))
     assert svg.startswith("<?xml")
     assert svg.count("<line") == 0
 
@@ -43,15 +43,14 @@ def test_grid_rect_counts():
 
 
 def test_byte_determinism():
-    a = render_structure(grow("toothpick", 9, fast=False))
-    b = render_structure(grow("toothpick", 9, fast=False))
-    c = render_structure(grow("toothpick", 9))  # fast engine, same bytes
-    assert a == b == c
+    a = render_structure(grow("toothpick", 9))
+    b = render_structure(grow("toothpick", 9))
+    assert a == b
 
 
 def test_monochrome_and_exposed():
     cfg = RenderConfig(color_mode="monochrome", show_exposed=True)
-    svg = render_structure(grow("toothpick", 4, fast=False), cfg)
+    svg = render_structure(grow("toothpick", 4), cfg)
     assert "<circle" in svg
     assert 'class="s"' in svg
     with pytest.raises(ValueError):
@@ -73,11 +72,14 @@ def test_three_dimensional_grid_rejected():
 @pytest.mark.parametrize(
     "name,make",
     [
-        ("toothpick_n6.svg", lambda: render_structure(grow("toothpick", 6, fast=False))),
-        ("corner_n7.svg", lambda: render_structure(grow("corner", 7, fast=False))),
+        ("toothpick_n6.svg", lambda: render_structure(grow("toothpick", 6))),
+        ("corner_n7.svg", lambda: render_structure(grow("corner", 7))),
         ("uw_n4.svg", lambda: render_grid(CellGrid(uw_von_neumann(2)).grow(4))),
         ("maltese_n5.svg", lambda: render_grid(CellGrid(MALTESE).grow(5))),
-        ("corner_n7.dump", lambda: grow("corner", 7, fast=False).dump()),
+        ("corner_n7.dump", lambda: grow("corner", 7).dump()),
+        ("leftist_n8.dump", lambda: grow("leftist", 8).dump()),
+        ("t_n6.dump", lambda: grow("t", 6).dump()),
+        ("y_n6.dump", lambda: grow("y", 6).dump()),
         ("uw_n4.dump", lambda: CellGrid(uw_von_neumann(2)).grow(4).dump()),
         ("uw3_n4.dump", lambda: CellGrid(uw_von_neumann(3)).grow(4).dump()),
         ("moore8_n8.dump", lambda: CellGrid(MOORE8).grow(8).dump()),
