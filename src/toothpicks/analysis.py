@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import engine
+from . import recurrences as rec
 from .gridca import ON, CellGrid, _digraph_in_neighbors, _vn_dirs
-from .recurrences import toothpick_T_prefix
 
 # Unit steps in doubled coordinates, counterclockwise: E N W S.
 _STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -198,7 +198,7 @@ def ratio_bound_check(n_max: int) -> RatioBoundReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    T = toothpick_T_prefix(n_max)
+    T = rec.prefix("T", n_max)
     eq = []
     for n in range(1, n_max + 1):
         lhs = 3 * n * T[n]
@@ -241,7 +241,7 @@ def sample_limit_function(k: int) -> LimitFunctionSample:
     if k < 1:
         raise ValueError("k must be >= 1")
     base = 1 << k
-    T = toothpick_T_prefix(2 * base)
+    T = rec.prefix("T", 2 * base)
     values = [Fraction(T[base + i], (base + i) ** 2) for i in range(base)]
     min_i = min(range(base), key=values.__getitem__)
     samples = tuple(
@@ -274,7 +274,7 @@ def local_minima(n_max: int) -> list[int]:
     """
     if n_max < 1:
         return []
-    T = toothpick_T_prefix(n_max + 1)
+    T = rec.prefix("T", n_max + 1)
 
     def less(a: int, b: int) -> bool:  # T(a)/a^2 < T(b)/b^2
         return T[a] * b * b < T[b] * a * a
@@ -391,7 +391,7 @@ def quadrant_Q(n: int) -> int:
         raise ValueError("n must be >= 0")
     if n <= 2:
         return 0
-    T = toothpick_T_prefix(n)[n]
+    T = rec.prefix("T", n)[n]
     q, r = divmod(T - 3, 4)
     if r:
         raise ArithmeticError(f"T(n) - 3 not divisible by 4 at n={n}")

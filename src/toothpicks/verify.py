@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import closedform as cf
 from . import engine
@@ -198,32 +198,64 @@ def crosscheck(binding: SequenceBinding, n_max: int | None = None) -> VerifyRepo
     return VerifyReport(binding.name, binding.must_agree, tuple(pairs))
 
 
-# -- generator adapters ------------------------------------------------------
+# -- the registry ------------------------------------------------------------
 
 
-def _from_prefix(fn, label):
-    return lambda n: IntSequence(0, tuple(fn(n)), label, "recurrence")
+class Route(NamedTuple):
+    """One route of a registry row.  Its tag picks the adapter that turns
+    `fn` into the Generator's `make`."""
+
+    tag: str  # simulate | recurrence | closedform | genfunc
+    fn: Callable
+    bound: int
+    offset: int = 0
+    sums: bool = False  # the route yields the running totals of what fn makes
 
 
-def _from_scalar(fn, label):
-    return lambda n: IntSequence(0, tuple(fn(i) for i in range(n + 1)), label, "closedform")
+def _from_prefix(route):
+    fn, offset = route.fn, route.offset
+    return lambda n: IntSequence(offset, tuple(fn(n)), generator="recurrence")
 
 
-def _from_series(fn, label):
-    return lambda n: IntSequence(0, tuple(fn(n + 1).coeffs), label, "genfunc")
+def _from_scalar(route):
+    fn = route.fn
+    return lambda n: IntSequence(0, tuple(fn(i) for i in range(n + 1)), generator="closedform")
 
 
-def _from_sim(fn, label):
-    def make(n):
-        seq = fn(n)
-        return IntSequence(seq.offset, seq.terms, label, "simulate")
-
-    return make
+def _from_series(route):
+    fn = route.fn
+    return lambda n: IntSequence(0, tuple(fn(n + 1).coeffs), generator="genfunc")
 
 
-def _fixture_gen(name, offset=0):
-    seq = load_fixture(name)
-    return Generator("fixture", seq.truncated, seq.last_index, offset)
+def _from_sim(route):
+    return route.fn  # a simulation makes its own IntSequence
+
+
+_ADAPTERS = {
+    "recurrence": _from_prefix,
+    "closedform": _from_scalar,
+    "genfunc": _from_series,
+    "simulate": _from_sim,
+}
+
+
+def _sums(make):
+    return lambda n: make(n).partial_sums()
+
+
+def _bind(name, oeis_id, routes, must_agree=True, note="", fixture=""):
+    """One registry row.  Each route is adapted by its tag; the fixture
+    route comes last, from the bundled b-file of the OEIS id unless
+    `fixture` names another file, or is None for no fixture route."""
+    gens = []
+    for r in routes:
+        make = _ADAPTERS[r.tag](r)
+        gens.append(Generator(r.tag, _sums(make) if r.sums else make, r.bound, r.offset))
+    fixture = oeis_id if fixture == "" else fixture
+    if fixture:
+        seq = load_fixture(fixture)
+        gens.append(Generator("fixture", seq.truncated, seq.last_index, seq.offset))
+    return SequenceBinding(name, oeis_id, tuple(gens), must_agree, note)
 
 
 @functools.lru_cache(maxsize=64)
@@ -243,8 +275,8 @@ def _counts(variant):
     return lambda n: _sim_counts(variant, n)
 
 
-def _sums(seq_fn):
-    return lambda n: seq_fn(n).partial_sums()
+def _rule(name):
+    return functools.partial(rec.prefix, name)
 
 
 def _rect_geometric(n):
@@ -254,11 +286,10 @@ def _rect_geometric(n):
     return IntSequence(0, tuple(rectangle_counts_by_stage(s)), "rect_R", "simulate")
 
 
-def _local_minima_seq(n):
+def _local_minima(n):
     from .analysis import local_minima
 
-    mins = local_minima(4096)[:n]
-    return IntSequence(1, tuple(mins), "A170927", "recurrence")
+    return local_minima(4096)[:n]
 
 
 def _rho_geometric(n):
@@ -276,338 +307,152 @@ GF = 8192
 
 
 def bindings() -> dict[str, SequenceBinding]:
-    """The full registry, keyed by binding name."""
-    b: list[SequenceBinding] = []
+    """The full registry, keyed by binding name; a fresh dict on every call.
 
-    def add(name, oeis_id, gens, must_agree=True, note=""):
-        b.append(SequenceBinding(name, oeis_id, tuple(gens), must_agree, note))
-
-    add(
-        "toothpick_t",
-        "A139251",
-        [
-            Generator("simulate", _from_sim(_counts("toothpick"), "t"), SIM),
-            Generator("simulate", _from_sim(_counts(gridca.TOOTHPICK_DIGRAPH), "t/digraph"), SIM),
-            Generator("recurrence", _from_prefix(rec.toothpick_t_prefix, "t"), REC),
-            Generator("closedform", _from_scalar(cf.t_explicit, "t"), REC),
-            Generator("genfunc", _from_series(series.toothpick_gf, "t"), GF),
-            _fixture_gen("A139251"),
-        ],
-    )
-    add(
-        "toothpick_T",
-        "A139250",
-        [
-            Generator("simulate", _from_sim(_sums(_counts("toothpick")), "T"), SIM),
-            Generator("recurrence", _from_prefix(rec.toothpick_T_prefix, "T"), REC),
-            Generator("genfunc", _from_series(series.toothpick_total_gf, "T"), GF),
-            _fixture_gen("A139250"),
-        ],
-    )
-    add(
-        "corner_c",
-        "A152980",
-        [
-            Generator("simulate", _from_sim(_counts("corner"), "c"), SIM),
-            Generator("recurrence", _from_prefix(rec.corner_c_prefix, "c"), REC),
-            Generator(
-                "recurrence",
-                _from_prefix(
-                    lambda n: rec.generic_theorem4_prefix(rec.RecurrenceSpec(1, 1, 1, 2), n),
-                    "c/theorem4",
-                ),
-                REC,
-            ),
-            Generator("genfunc", _from_series(series.corner_gf, "c"), GF),
-            _fixture_gen("A152980"),
-        ],
-    )
-    add(
-        "corner_C",
-        "A153006",
-        [
-            Generator("simulate", _from_sim(_sums(_counts("corner")), "C"), SIM),
-            Generator("recurrence", _from_prefix(rec.corner_C_prefix, "C"), REC),
-            _fixture_gen("A153006"),
-        ],
-    )
-    add(
-        "leftist_l",
-        "A151565",
-        [
-            Generator("simulate", _from_sim(_counts("leftist"), "l"), SIM),
-            Generator("closedform", _from_scalar(cf.leftist_l, "l"), REC),
-            _fixture_gen("A151565"),
-        ],
-    )
-    add(
-        "leftist_L",
-        "A151566",
-        [
-            Generator("simulate", _from_sim(_sums(_counts("leftist")), "L"), SIM),
-            Generator("closedform", _sums(_from_scalar(cf.leftist_l, "L")), 4096),
-            _fixture_gen("A151566"),
-        ],
-    )
-    add(
-        "uw_u",
-        "A147582",
-        [
-            Generator("simulate", _from_sim(_counts(gridca.uw_von_neumann(2)), "u"), SIM),
-            Generator("recurrence", _from_prefix(rec.uw_u_prefix, "u"), 1 << 20),
-            Generator("closedform", _from_scalar(cf.uw_u, "u"), 1 << 20),
-            Generator("genfunc", _from_series(series.uw_gf, "u"), GF),
-            _fixture_gen("A147582"),
-        ],
-    )
-    add(
-        "uw_U",
-        "A147562",
-        [
-            Generator("simulate", _from_sim(_sums(_counts(gridca.uw_von_neumann(2))), "U"), SIM),
-            Generator("recurrence", _from_prefix(rec.uw_U_prefix, "U"), REC),
-            _fixture_gen("A147562"),
-        ],
-    )
-    add(
-        "uw_u_d1",
-        None,
-        [
-            Generator("simulate", _from_sim(_counts(gridca.uw_von_neumann(1)), "u1"), SIM),
-            Generator("closedform", _from_scalar(lambda n: cf.uw_d(1, n), "u1"), REC),
-        ],
-    )
-    add(
-        "uw_u_d3",
-        None,
-        [
-            Generator("simulate", _from_sim(_counts(gridca.uw_von_neumann(3)), "u3"), SIM),
-            Generator("closedform", _from_scalar(lambda n: cf.uw_d(3, n), "u3"), REC),
-        ],
-    )
-    add(
-        "uw_u_d4",
-        None,
-        [
-            Generator("simulate", _from_sim(_counts(gridca.uw_von_neumann(4)), "u4"), 64),
-            Generator("closedform", _from_scalar(lambda n: cf.uw_d(4, n), "u4"), REC),
-        ],
-    )
-    add(
-        "rect_rho",
-        "A168131",
-        [
-            Generator("simulate", _rho_geometric, 256),
-            Generator("recurrence", _from_prefix(rec.rect_rho_prefix, "rho"), REC),
-            _fixture_gen("A168131"),
-        ],
-    )
-    add(
-        "rect_r",
-        "A160125",
-        [
-            Generator("recurrence", _from_prefix(rec.rect_r_prefix, "r"), REC),
-            _fixture_gen("A160125"),
-        ],
-    )
-    add(
-        "rect_R",
-        "A160124",
-        [
-            Generator("simulate", _rect_geometric, SIM),
-            Generator("recurrence", _from_prefix(rec.rect_R_prefix, "R"), REC),
-            _fixture_gen("A160124"),
-        ],
-    )
-    add(
-        "eight_v",
-        "A151726",
-        [
-            Generator("simulate", _from_sim(_counts(gridca.MOORE8), "v"), SIM),
-            Generator("recurrence", _from_prefix(rec.eight_v_prefix, "v"), REC),
-            _fixture_gen("A151726"),
-        ],
-    )
-    add(
-        "eight_V",
-        "A151725",
-        [
-            Generator("simulate", _from_sim(_sums(_counts(gridca.MOORE8)), "V"), SIM),
-            Generator("recurrence", _from_prefix(rec.eight_V_prefix, "V"), REC),
-            _fixture_gen("A151725"),
-        ],
-    )
-    add(
-        "eight_v1",
-        "A151747",
-        [
-            Generator("simulate", _from_sim(_counts(gridca.MOORE8_CORNER1), "v1"), SIM),
-            Generator("recurrence", _from_prefix(rec.eight_v1_prefix, "v1"), REC),
-            _fixture_gen("A151747"),
-        ],
-    )
-    add(
-        "eight_v2",
-        "A151728",
-        [
-            Generator("simulate", _from_sim(_counts(gridca.MOORE8_CORNER2), "v2"), SIM),
-            Generator("recurrence", _from_prefix(rec.eight_v2_prefix, "v2"), REC),
-            _fixture_gen("A151728"),
-        ],
-    )
-    add(
-        "rule942_w",
-        None,
-        [
-            Generator("simulate", _from_sim(_counts(gridca.RULE942), "w"), SIM),
-            Generator("closedform", _from_scalar(cf.r942_w, "w"), REC),
-            _fixture_gen("table7_w"),
-        ],
-    )
-    add(
-        "rule942_delta",
-        None,
-        [
-            Generator("closedform", _from_scalar(cf.r942_delta, "delta"), REC),
-            _fixture_gen("table7_delta"),
-        ],
-    )
-    add(
-        "t_toothpick_tau",
-        "A160173",
-        [
-            Generator("simulate", _from_sim(engine.simulate_t_toothpick, "tau"), SIM),
-            Generator("closedform", _from_scalar(cf.ttp_tau, "tau"), REC),
-            _fixture_gen("A160173"),
-        ],
-    )
-    add(
-        "maltese_m",
-        "A151906",
-        [
-            Generator("simulate", _from_sim(gridca.build_maltese_by_construction, "m"), 300),
-            Generator("closedform", _from_scalar(cf.maltese_m, "m"), REC),
-            _fixture_gen("A151906"),
-        ],
-    )
-    add(
-        "maltese_ca",
-        "A151906",
-        [
-            Generator("simulate", _from_sim(gridca.run_maltese, "m/ca"), 64),
-            Generator("closedform", _from_scalar(cf.maltese_m, "m"), REC),
-        ],
-        must_agree=False,
-        note=(
+    A row is name, OEIS id, routes, must_agree and note (see `_bind`).
+    The table is built on every call, so each route takes the layer
+    functions as the modules bind them at that time.
+    """
+    rows = (
+        _bind("toothpick_t", "A139251", (
+            Route("simulate", _counts("toothpick"), SIM),
+            Route("simulate", _counts(gridca.TOOTHPICK_DIGRAPH), SIM),
+            Route("recurrence", _rule("t"), REC),
+            Route("closedform", cf.t_explicit, REC),
+            Route("genfunc", series.toothpick_gf, GF),
+        )),
+        _bind("toothpick_T", "A139250", (
+            Route("simulate", _counts("toothpick"), SIM, sums=True),
+            Route("recurrence", _rule("T"), REC),
+            Route("genfunc", series.toothpick_total_gf, GF),
+        )),
+        # Two recurrence routes: the named row and the Theorem-4 instance
+        # hold the rule table against the generic family.
+        _bind("corner_c", "A152980", (
+            Route("simulate", _counts("corner"), SIM),
+            Route("recurrence", _rule("c"), REC),
+            Route("recurrence", rec.RecurrenceSpec(1, 1, 1, 2).prefix, REC),
+            Route("genfunc", series.corner_gf, GF),
+        )),
+        _bind("corner_C", "A153006", (
+            Route("simulate", _counts("corner"), SIM, sums=True),
+            Route("recurrence", _rule("c"), REC, sums=True),
+        )),
+        _bind("leftist_l", "A151565", (
+            Route("simulate", _counts("leftist"), SIM),
+            Route("closedform", cf.leftist_l, REC),
+        )),
+        _bind("leftist_L", "A151566", (
+            Route("simulate", _counts("leftist"), SIM, sums=True),
+            Route("closedform", cf.leftist_l, 4096, sums=True),
+        )),
+        _bind("uw_u", "A147582", (
+            Route("simulate", _counts(gridca.uw_von_neumann(2)), SIM),
+            Route("recurrence", _rule("u"), 1 << 20),
+            Route("closedform", cf.uw_u, 1 << 20),
+            Route("genfunc", series.uw_gf, GF),
+        )),
+        _bind("uw_U", "A147562", (
+            Route("simulate", _counts(gridca.uw_von_neumann(2)), SIM, sums=True),
+            Route("recurrence", _rule("u"), REC, sums=True),
+        )),
+        _bind("uw_u_d1", None, (
+            Route("simulate", _counts(gridca.uw_von_neumann(1)), SIM),
+            Route("closedform", lambda n: cf.uw_d(1, n), REC),
+        )),
+        _bind("uw_u_d3", None, (
+            Route("simulate", _counts(gridca.uw_von_neumann(3)), SIM),
+            Route("closedform", lambda n: cf.uw_d(3, n), REC),
+        )),
+        _bind("uw_u_d4", None, (
+            Route("simulate", _counts(gridca.uw_von_neumann(4)), 64),
+            Route("closedform", lambda n: cf.uw_d(4, n), REC),
+        )),
+        _bind("rect_rho", "A168131", (
+            Route("simulate", _rho_geometric, 256),
+            Route("recurrence", _rule("rho"), REC),
+        )),
+        _bind("rect_r", "A160125", (
+            Route("recurrence", _rule("r"), REC),
+        )),
+        _bind("rect_R", "A160124", (
+            Route("simulate", _rect_geometric, SIM),
+            Route("recurrence", _rule("r"), REC, sums=True),
+        )),
+        _bind("eight_v", "A151726", (
+            Route("simulate", _counts(gridca.MOORE8), SIM),
+            Route("recurrence", _rule("v"), REC),
+        )),
+        _bind("eight_V", "A151725", (
+            Route("simulate", _counts(gridca.MOORE8), SIM, sums=True),
+            Route("recurrence", _rule("v"), REC, sums=True),
+        )),
+        _bind("eight_v1", "A151747", (
+            Route("simulate", _counts(gridca.MOORE8_CORNER1), SIM),
+            Route("recurrence", _rule("v1"), REC),
+        )),
+        _bind("eight_v2", "A151728", (
+            Route("simulate", _counts(gridca.MOORE8_CORNER2), SIM),
+            Route("recurrence", _rule("v2"), REC),
+        )),
+        _bind("rule942_w", None, (
+            Route("simulate", _counts(gridca.RULE942), SIM),
+            Route("closedform", cf.r942_w, REC),
+        ), fixture="table7_w"),
+        _bind("rule942_delta", None, (
+            Route("closedform", cf.r942_delta, REC),
+        ), fixture="table7_delta"),
+        _bind("t_toothpick_tau", "A160173", (
+            Route("simulate", engine.simulate_t_toothpick, SIM),
+            Route("closedform", cf.ttp_tau, REC),
+        )),
+        _bind("maltese_m", "A151906", (
+            Route("simulate", gridca.build_maltese_by_construction, 300),
+            Route("closedform", cf.maltese_m, REC),
+        )),
+        _bind("maltese_ca", "A151906", (
+            Route("simulate", gridca.run_maltese, 64),
+            Route("closedform", cf.maltese_m, REC),
+        ), must_agree=False, fixture=None, note=(
             "the reconstructed three-state rules track the construction "
             "oracle through stage 17 and first diverge at stage 18"
-        ),
-    )
-    add(
-        "y_toothpick",
-        "A160120",
-        [
-            Generator("simulate", _from_sim(engine.simulate_y_toothpick, "y"), 128),
-            _fixture_gen("y_toothpick_added"),
-        ],
-        must_agree=False,
-        note=(
+        )),
+        _bind("y_toothpick", "A160120", (
+            Route("simulate", engine.simulate_y_toothpick, 128),
+        ), must_agree=False, fixture="y_toothpick_added", note=(
             "no formula oracle exists; the fixture is a pinned engine "
             "snapshot, so this binding is a regression pin, not a proof"
-        ),
+        )),
+        _bind("f_sequence", "A147646", (
+            Route("recurrence", _rule("F"), REC),
+            Route("closedform", cf.f_explicit, REC),
+            Route("genfunc", series.f_gf, GF),
+        )),
+        _bind("a151550", "A151550", (
+            Route("genfunc", series.a151550_gf, GF),
+            Route("recurrence", lambda n: rec.RecurrenceSpec(1, 0, 1, 2).prefix(n + 1)[1:], REC),
+        )),
+        _bind("a160573", "A160573", (
+            Route("genfunc", series.a160573_gf, GF),
+            Route("closedform", lambda n: cf.hve_a(1, 1, n), REC),
+        )),
+        _bind("a048883", "A048883", (
+            Route("closedform", cf.a048883, REC),
+            Route("genfunc", lambda o: series.geometric_weight_product(3, o), GF),
+        )),
+        _bind("a130665", "A130665", (
+            Route("closedform", cf.a048883, 4096, sums=True),
+            Route("genfunc", lambda o: series.geometric_weight_product(3, o).divide_one_minus_x(), GF),
+        )),
+        _bind("gould", "A001316", (
+            Route("closedform", cf.gould, REC),
+            Route("genfunc", lambda o: series.geometric_weight_product(2, o), GF),
+        )),
+        _bind("hve_terms", "A100661", (
+            Route("closedform", cf.hve_nonzero_terms, REC),
+        ), note="fixture is a pinned snapshot of the counting generator"),
+        _bind("local_minima", "A170927", (
+            Route("recurrence", _local_minima, 12, offset=1),
+        )),
     )
-    add(
-        "f_sequence",
-        "A147646",
-        [
-            Generator("recurrence", _from_prefix(rec.f_sequence_prefix, "F"), REC),
-            Generator("closedform", _from_scalar(cf.f_explicit, "F"), REC),
-            Generator("genfunc", _from_series(series.f_gf, "F"), GF),
-            _fixture_gen("A147646"),
-        ],
-    )
-    add(
-        "a151550",
-        "A151550",
-        [
-            Generator("genfunc", _from_series(series.a151550_gf, "A151550"), GF),
-            Generator(
-                "recurrence",
-                _from_prefix(
-                    lambda n: rec.generic_theorem4_prefix(rec.RecurrenceSpec(1, 0, 1, 2), n + 1)[1:],
-                    "A151550",
-                ),
-                REC,
-            ),
-            _fixture_gen("A151550"),
-        ],
-    )
-    add(
-        "a160573",
-        "A160573",
-        [
-            Generator("genfunc", _from_series(series.a160573_gf, "A160573"), GF),
-            Generator("closedform", _from_scalar(lambda n: cf.hve_a(1, 1, n), "A160573"), REC),
-            _fixture_gen("A160573"),
-        ],
-    )
-    add(
-        "a048883",
-        "A048883",
-        [
-            Generator("closedform", _from_scalar(cf.a048883, "A048883"), REC),
-            Generator(
-                "genfunc",
-                _from_series(lambda o: series.geometric_weight_product(3, o), "A048883"),
-                GF,
-            ),
-            _fixture_gen("A048883"),
-        ],
-    )
-    add(
-        "a130665",
-        "A130665",
-        [
-            Generator("closedform", _sums(_from_scalar(cf.a048883, "A130665")), 4096),
-            Generator(
-                "genfunc",
-                _from_series(
-                    lambda o: series.geometric_weight_product(3, o).divide_one_minus_x(),
-                    "A130665",
-                ),
-                GF,
-            ),
-            _fixture_gen("A130665"),
-        ],
-    )
-    add(
-        "gould",
-        "A001316",
-        [
-            Generator("closedform", _from_scalar(cf.gould, "A001316"), REC),
-            Generator(
-                "genfunc",
-                _from_series(lambda o: series.geometric_weight_product(2, o), "A001316"),
-                GF,
-            ),
-            _fixture_gen("A001316"),
-        ],
-    )
-    add(
-        "hve_terms",
-        "A100661",
-        [
-            Generator("closedform", _from_scalar(cf.hve_nonzero_terms, "A100661"), REC),
-            _fixture_gen("A100661"),
-        ],
-        note="fixture is a pinned snapshot of the counting generator",
-    )
-    add(
-        "local_minima",
-        "A170927",
-        [
-            Generator("recurrence", _local_minima_seq, 12, offset=1),
-            _fixture_gen("A170927", offset=1),
-        ],
-    )
-    return {x.name: x for x in b}
+    return {b.name: b for b in rows}

@@ -9,6 +9,7 @@ import random
 import resource
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -46,22 +47,22 @@ def test_criterion_1_table_goldens():
         )
     }
     # toothpick t, T for n <= 49, every generator
-    assert rec.toothpick_t_prefix(49) == fx["A139251"]
+    assert rec.prefix("t", 49) == fx["A139251"]
     assert [cf.t_explicit(n) for n in range(50)] == fx["A139251"]
     assert series.toothpick_gf(50).coeffs == fx["A139251"]
     assert engine.grow("toothpick", 49).counts == fx["A139251"]
     assert list(gridca.run_toothpick_digraph(49).terms) == fx["A139251"]
-    assert rec.toothpick_T_prefix(49) == fx["A139250"]
+    assert rec.prefix("T", 49) == fx["A139250"]
     assert series.toothpick_total_gf(50).coeffs == fx["A139250"]
     # corner c, C for n <= 39
-    assert rec.corner_c_prefix(39) == fx["A152980"]
+    assert rec.prefix("c", 39) == fx["A152980"]
     assert series.corner_gf(40).coeffs == fx["A152980"]
     assert engine.grow("corner", 39).counts == fx["A152980"]
-    assert rec.corner_C_prefix(39) == fx["A153006"]
+    assert list(accumulate(rec.prefix("c", 39))) == fx["A153006"]
     # rectangles rho, r, R for n <= 15, recurrence and geometry
-    assert rec.rect_rho_prefix(15) == fx["A168131"]
-    assert rec.rect_r_prefix(15) == fx["A160125"]
-    assert rec.rect_R_prefix(15) == fx["A160124"]
+    assert rec.prefix("rho", 15) == fx["A168131"]
+    assert rec.prefix("r", 15) == fx["A160125"]
+    assert list(accumulate(rec.prefix("r", 15))) == fx["A160124"]
     s = engine.grow("toothpick", 15)
     assert analysis.rectangle_counts_by_stage(s) == fx["A160124"]
     sc = engine.grow("corner", 15)
@@ -69,11 +70,11 @@ def test_criterion_1_table_goldens():
         sum(fx["A168131"][: i + 1]) for i in range(16)
     ]
     # one-of-four u, U for n <= 49
-    assert rec.uw_u_prefix(49) == fx["A147582"]
+    assert rec.prefix("u", 49) == fx["A147582"]
     assert [cf.uw_u(n) for n in range(50)] == fx["A147582"]
     assert series.uw_gf(50).coeffs == fx["A147582"]
     assert list(gridca.run(gridca.uw_von_neumann(2), 49).terms) == fx["A147582"]
-    assert rec.uw_U_prefix(49) == fx["A147562"]
+    assert list(accumulate(rec.prefix("u", 49))) == fx["A147562"]
     # leftist l, L for n <= 15
     assert engine.grow("leftist", 15).counts == fx["A151565"]
     assert [cf.leftist_l(n) for n in range(16)] == fx["A151565"]
@@ -90,10 +91,10 @@ def test_criterion_1_table_goldens():
     ]
     assert [cf.r942_delta(n) for n in range(16)] == fx["table7_delta"]
     # eight-neighbor v, V, v1, v2 for n <= 29
-    assert rec.eight_v_prefix(29) == fx["A151726"]
-    assert rec.eight_V_prefix(29) == fx["A151725"]
-    assert rec.eight_v1_prefix(29) == fx["A151747"]
-    assert rec.eight_v2_prefix(29) == fx["A151728"]
+    assert rec.prefix("v", 29) == fx["A151726"]
+    assert list(accumulate(rec.prefix("v", 29))) == fx["A151725"]
+    assert rec.prefix("v1", 29) == fx["A151747"]
+    assert rec.prefix("v2", 29) == fx["A151728"]
     assert list(gridca.run(gridca.MOORE8, 29).terms) == fx["A151726"]
     assert list(gridca.CellGrid(gridca.MOORE8_CORNER1).grow(29).added_per_stage().terms) == fx["A151747"]
     assert list(gridca.CellGrid(gridca.MOORE8_CORNER2).grow(29).added_per_stage().terms) == fx["A151728"]
@@ -133,7 +134,7 @@ def test_criterion_3_theorem4_property():
     for trial in range(50):
         a, b, g, d = (rng.randint(-3, 3) for _ in range(4))
         got = series.theorem4_series(a, b, g, d, 1, order).coeffs
-        want = rec.generic_theorem4_prefix(rec.RecurrenceSpec(a, b, g, d), order - 1)
+        want = rec.RecurrenceSpec(a, b, g, d).prefix(order - 1)
         assert got == want, (trial, a, b, g, d)
     _report(3, "50 random product expansions match the block recurrence at order 4096")
 
@@ -154,7 +155,7 @@ def test_criterion_4_structural_theorems():
         assert s.exposed_points() == {(a * half, b * half) for a in (-1, 1) for b in (-1, 1)}
     # every bounded face is a rectangle at every stage through 256,
     # and the counts match the recurrence
-    R = rec.rect_R_prefix(256)
+    R = list(accumulate(rec.prefix("r", 256)))
     s = engine.new_structure("toothpick")
     for n in range(1, 257):
         s.grow(1)
@@ -193,10 +194,10 @@ def test_criterion_5_asymptotics():
 
 def test_criterion_6_identities():
     n_max = 4096
-    t = rec.toothpick_t_prefix(n_max + 1)
-    c = rec.corner_c_prefix(n_max)
-    T = rec.toothpick_T_prefix(n_max + 1)
-    C = rec.corner_C_prefix(n_max)
+    t = rec.prefix("t", n_max + 1)
+    c = rec.prefix("c", n_max)
+    T = rec.prefix("T", n_max + 1)
+    C = list(accumulate(rec.prefix("c", n_max)))
     Q = [0] * (n_max + 2)
     for n in range(3, n_max + 2):
         Q[n] = (T[n] - 3) // 4
@@ -281,7 +282,7 @@ def test_criterion_10_performance():
     t0 = time.perf_counter()
     s = engine.grow("toothpick", 4096)
     sim_elapsed = time.perf_counter() - t0
-    assert s.total() == rec.toothpick_T(4096) == 11184811
+    assert s.total() == rec.prefix("T", 4096)[4096] == 11184811
     assert sim_elapsed < 10.0, f"4096-stage simulation took {sim_elapsed:.1f}s"
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert peak_kb < 2 * 1024 * 1024, f"peak rss {peak_kb} kB"
@@ -291,7 +292,7 @@ def test_criterion_10_performance():
     )
     assert best < 1e-3, f"closed form took {best * 1e3:.3f} ms"
     n_near = (1 << 20) + 12345
-    assert cf.t_explicit(n_near) == rec.toothpick_t(n_near)
+    assert cf.t_explicit(n_near) == rec.prefix("t", n_near)[n_near]
     _report(
         10,
         f"4096 stages in {sim_elapsed:.1f}s ({peak_kb // 1024} MB peak); "

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -20,7 +21,7 @@ def test_detect_rectangles_extents():
 
 
 def test_rectangles_match_recurrence_per_stage():
-    R = rec.rect_R_prefix(96)
+    R = list(accumulate(rec.prefix("r", 96)))
     s = new_structure("toothpick")
     for n in range(1, 97):
         s.grow(1)
@@ -29,7 +30,7 @@ def test_rectangles_match_recurrence_per_stage():
 
 
 def test_corner_rectangles_count_against_quadrant_walls():
-    rho = rec.rect_rho_prefix(96)
+    rho = rec.prefix("rho", 96)
     sums = [sum(rho[: i + 1]) for i in range(97)]
     s = new_structure("corner")
     for n in range(1, 97):
@@ -40,7 +41,7 @@ def test_corner_rectangles_count_against_quadrant_walls():
 
 def test_euler_and_walk_agree_far_out():
     s = grow("toothpick", 512)
-    assert analysis.rectangle_counts_by_stage(s) == rec.rect_R_prefix(512)
+    assert analysis.rectangle_counts_by_stage(s) == list(accumulate(rec.prefix("r", 512)))
 
 
 def test_non_rectangular_face_is_an_error():
@@ -61,16 +62,18 @@ def test_ratio_bound():
     rep = analysis.ratio_bound_check(1 << 12)
     assert rep.equality_indices == tuple((1 << k) - 1 for k in range(1, 13))
     # the two stated boundary cases, exhibited exactly
-    assert Fraction(rec.toothpick_T(15), 15 * 15) == Fraction(2, 3) + Fraction(1, 45)
-    assert Fraction(rec.toothpick_T(16), 16 * 16) < Fraction(2, 3) + Fraction(1, 48)
-    assert Fraction(rec.toothpick_T(1), 1) == Fraction(2, 3) + Fraction(1, 3)
+    T = rec.prefix("T", 16)
+    assert Fraction(T[15], 15 * 15) == Fraction(2, 3) + Fraction(1, 45)
+    assert Fraction(T[16], 16 * 16) < Fraction(2, 3) + Fraction(1, 48)
+    assert Fraction(T[1], 1) == Fraction(2, 3) + Fraction(1, 3)
 
 
 def test_limsup_witness():
     # T(2**k - 1) = (2**k - 1)(2**(k+1) - 1)/3 makes the bound exact
+    T = rec.prefix("T", (1 << 20) - 1)
     for k in range(1, 21):
         n = (1 << k) - 1
-        assert 3 * rec.toothpick_T(n) == n * ((1 << (k + 1)) - 1)
+        assert 3 * T[n] == n * ((1 << (k + 1)) - 1)
 
 
 def test_local_minima():

@@ -85,13 +85,13 @@ def test_rule942_excess_structure():
 
 def test_closed_forms_match_recurrences_far_out():
     n_max = 1 << 20
-    u = rec.uw_u_prefix(n_max)
+    u = rec.prefix("u", n_max)
     weights = [0] + [binary_weight(n) for n in range(n_max)]  # wt(n-1)
     assert u[:2] == [0, 1]
     assert all(u[n] == 4 * 3 ** (weights[n] - 1) for n in range(2, n_max + 1))
-    t = rec.toothpick_t_prefix(1 << 16)
+    t = rec.prefix("t", 1 << 16)
     assert all(cf.t_explicit(n) == t[n] for n in range(1 << 16))
-    F = rec.f_sequence_prefix(1 << 16)
+    F = rec.prefix("F", 1 << 16)
     assert all(cf.f_explicit(n) == F[n] for n in range(1 << 16))
 
 

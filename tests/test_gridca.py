@@ -81,8 +81,8 @@ def test_moore8_counts():
 def test_moore8_corners():
     v1 = CellGrid(MOORE8_CORNER1).grow(29).added_per_stage()
     v2 = CellGrid(MOORE8_CORNER2).grow(29).added_per_stage()
-    assert list(v1.terms) == rec.eight_v1_prefix(29)
-    assert list(v2.terms) == rec.eight_v2_prefix(29)
+    assert list(v1.terms) == rec.prefix("v1", 29)
+    assert list(v2.terms) == rec.prefix("v2", 29)
     assert v1.value(8) == 21
     assert v2.value(8) == 23
 
@@ -95,7 +95,7 @@ def test_rule942_counts():
 
 def test_digraph_counts():
     seq = run_toothpick_digraph(64)
-    assert list(seq.terms) == rec.toothpick_t_prefix(64)
+    assert list(seq.terms) == rec.prefix("t", 64)
     assert seq.value(7) == 12
     assert seq.value(1) == 1
     assert seq.value(16) == 16

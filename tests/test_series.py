@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -39,13 +40,13 @@ def test_toothpick_series():
     assert series.toothpick_gf(10).coeffs == [0, 1, 2, 4, 4, 4, 8, 12, 8, 4]
     assert series.toothpick_total_gf(17)[16] == 171
     order = 8192
-    assert series.toothpick_gf(order).coeffs == rec.toothpick_t_prefix(order - 1)
-    assert series.toothpick_total_gf(order).coeffs == rec.toothpick_T_prefix(order - 1)
+    assert series.toothpick_gf(order).coeffs == rec.prefix("t", order - 1)
+    assert series.toothpick_total_gf(order).coeffs == rec.prefix("T", order - 1)
 
 
 def test_corner_series():
     order = 8192
-    assert series.corner_gf(order).coeffs == rec.corner_c_prefix(order - 1)
+    assert series.corner_gf(order).coeffs == rec.prefix("c", order - 1)
 
 
 def test_uw_series():
@@ -53,7 +54,7 @@ def test_uw_series():
     assert g[4] == 12
     assert g[0] == 0
     assert g[16] == 108
-    assert series.uw_gf(4096).coeffs == rec.uw_u_prefix(4095)
+    assert series.uw_gf(4096).coeffs == rec.prefix("u", 4095)
 
 
 def test_two_displayed_toothpick_inner_forms_agree():
@@ -75,7 +76,7 @@ def test_ones_twos_convolution_gives_corner_totals():
     order = 4096
     a = series.a151550_gf(order)
     conv = a.add(a.shift(1).scale(2).divide_one_minus_x())
-    C = rec.corner_C_prefix(order)
+    C = list(accumulate(rec.prefix("c", order)))
     assert all(conv[n] == C[n + 1] for n in range(order - 1))
 
 
@@ -85,7 +86,7 @@ def test_theorem4_fifty_random_specs():
     for _ in range(50):
         a, b, g, d = (rng.randint(-3, 3) for _ in range(4))
         got = series.theorem4_series(a, b, g, d, 1, order).coeffs
-        want = rec.generic_theorem4_prefix(rec.RecurrenceSpec(a, b, g, d), order - 1)
+        want = rec.RecurrenceSpec(a, b, g, d).prefix(order - 1)
         assert got == want, (a, b, g, d)
 
 
@@ -94,9 +95,7 @@ def test_theorem4_fifty_random_specs():
 def test_theorem4_property(alpha, beta, gamma, delta):
     order = 512
     got = series.theorem4_series(alpha, beta, gamma, delta, 1, order).coeffs
-    want = rec.generic_theorem4_prefix(
-        rec.RecurrenceSpec(alpha, beta, gamma, delta), order - 1
-    )
+    want = rec.RecurrenceSpec(alpha, beta, gamma, delta).prefix(order - 1)
     assert got == want
 
 
@@ -105,9 +104,7 @@ def test_theorem4_property(alpha, beta, gamma, delta):
 def test_theorem4_start_zero(alpha, beta, gamma, delta):
     order = 512
     got = series.theorem4_series(alpha, beta, gamma, delta, 0, order).coeffs
-    want = rec.generic_theorem4_prefix(
-        rec.RecurrenceSpec(alpha, beta, gamma, delta, start_k=0), order - 1
-    )
+    want = rec.RecurrenceSpec(alpha, beta, gamma, delta, start_k=0).prefix(order - 1)
     assert got == want
 
 

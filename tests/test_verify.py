@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -139,8 +140,66 @@ def test_fixture_agreement_offline():
         fetch_bfile("A000000", online=False)
 
 
+# Every binding's must_agree and its routes' (tag, bound, offset), in
+# order, as the imperative registry declared them before it became a table.
+DECLARED_ROUTES = {
+    "toothpick_t": (True, (
+        ("simulate", 512, 0), ("simulate", 512, 0), ("recurrence", 65536, 0),
+        ("closedform", 65536, 0), ("genfunc", 8192, 0), ("fixture", 49, 0),
+    )),
+    "toothpick_T": (True, (
+        ("simulate", 512, 0), ("recurrence", 65536, 0), ("genfunc", 8192, 0), ("fixture", 49, 0),
+    )),
+    "corner_c": (True, (
+        ("simulate", 512, 0), ("recurrence", 65536, 0), ("recurrence", 65536, 0),
+        ("genfunc", 8192, 0), ("fixture", 39, 0),
+    )),
+    "corner_C": (True, (("simulate", 512, 0), ("recurrence", 65536, 0), ("fixture", 39, 0))),
+    "leftist_l": (True, (("simulate", 512, 0), ("closedform", 65536, 0), ("fixture", 15, 0))),
+    "leftist_L": (True, (("simulate", 512, 0), ("closedform", 4096, 0), ("fixture", 15, 0))),
+    "uw_u": (True, (
+        ("simulate", 512, 0), ("recurrence", 1048576, 0), ("closedform", 1048576, 0),
+        ("genfunc", 8192, 0), ("fixture", 49, 0),
+    )),
+    "uw_U": (True, (("simulate", 512, 0), ("recurrence", 65536, 0), ("fixture", 49, 0))),
+    "uw_u_d1": (True, (("simulate", 512, 0), ("closedform", 65536, 0))),
+    "uw_u_d3": (True, (("simulate", 512, 0), ("closedform", 65536, 0))),
+    "uw_u_d4": (True, (("simulate", 64, 0), ("closedform", 65536, 0))),
+    "rect_rho": (True, (("simulate", 256, 0), ("recurrence", 65536, 0), ("fixture", 15, 0))),
+    "rect_r": (True, (("recurrence", 65536, 0), ("fixture", 15, 0))),
+    "rect_R": (True, (("simulate", 512, 0), ("recurrence", 65536, 0), ("fixture", 15, 0))),
+    "eight_v": (True, (("simulate", 512, 0), ("recurrence", 65536, 0), ("fixture", 29, 0))),
+    "eight_V": (True, (("simulate", 512, 0), ("recurrence", 65536, 0), ("fixture", 29, 0))),
+    "eight_v1": (True, (("simulate", 512, 0), ("recurrence", 65536, 0), ("fixture", 29, 0))),
+    "eight_v2": (True, (("simulate", 512, 0), ("recurrence", 65536, 0), ("fixture", 29, 0))),
+    "rule942_w": (True, (("simulate", 512, 0), ("closedform", 65536, 0), ("fixture", 15, 0))),
+    "rule942_delta": (True, (("closedform", 65536, 0), ("fixture", 15, 0))),
+    "t_toothpick_tau": (True, (
+        ("simulate", 512, 0), ("closedform", 65536, 0), ("fixture", 1000, 0),
+    )),
+    "maltese_m": (True, (("simulate", 300, 0), ("closedform", 65536, 0), ("fixture", 1000, 0))),
+    "maltese_ca": (False, (("simulate", 64, 0), ("closedform", 65536, 0))),
+    "y_toothpick": (False, (("simulate", 128, 0), ("fixture", 128, 0))),
+    "f_sequence": (True, (
+        ("recurrence", 65536, 0), ("closedform", 65536, 0), ("genfunc", 8192, 0),
+        ("fixture", 10, 0),
+    )),
+    "a151550": (True, (("genfunc", 8192, 0), ("recurrence", 65536, 0), ("fixture", 10, 0))),
+    "a160573": (True, (("genfunc", 8192, 0), ("closedform", 65536, 0), ("fixture", 10, 0))),
+    "a048883": (True, (("closedform", 65536, 0), ("genfunc", 8192, 0), ("fixture", 1000, 0))),
+    "a130665": (True, (("closedform", 4096, 0), ("genfunc", 8192, 0), ("fixture", 1000, 0))),
+    "gould": (True, (("closedform", 65536, 0), ("genfunc", 8192, 0), ("fixture", 1000, 0))),
+    "hve_terms": (True, (("closedform", 65536, 0), ("fixture", 1000, 0))),
+    "local_minima": (True, (("recurrence", 12, 1), ("fixture", 12, 1))),
+}
+
+
 def test_registry_shape():
     regs = bindings()
+    assert list(regs) == list(DECLARED_ROUTES)
+    for name, bd in regs.items():
+        routes = tuple((g.tag, g.bound, g.offset) for g in bd.generators)
+        assert (bd.must_agree, routes) == DECLARED_ROUTES[name], name
     # every binding has at least two generators except pure-fixture pins
     for name, bd in regs.items():
         assert len(bd.generators) >= 2, name
@@ -154,6 +213,30 @@ def test_registry_shape():
         "local_minima",
     ):
         assert any(g.tag == "fixture" for g in regs[name].generators), name
+
+
+def test_registry_contracts_the_benchmark_relies_on(monkeypatch):
+    # bench/tracing.py replaces the entries of the dict it is handed
+    first = bindings()
+    first["toothpick_t"] = None
+    again = bindings()
+    assert again is not first and isinstance(again["toothpick_t"], SequenceBinding)
+    # bench/workloads.py rebuilds routes with dataclasses.replace
+    assert [f.name for f in dataclasses.fields(verify.Generator)] == [
+        "tag", "make", "bound", "offset",
+    ]
+    assert [f.name for f in dataclasses.fields(SequenceBinding)] == [
+        "name", "oeis_id", "generators", "must_agree", "note",
+    ]
+    sim = again["toothpick_t"].generators[0]
+    assert dataclasses.replace(sim, bound=7).bound == 7
+    # a simulate route looks engine.grow up when it runs, not when it is made
+    calls = []
+    real_grow = engine.grow
+    monkeypatch.setattr(engine, "grow", lambda *a: calls.append(a) or real_grow(*a))
+    verify._sim_counts.cache_clear()
+    assert sim.make(5).terms == (0, 1, 2, 4, 4, 4)
+    assert calls == [("toothpick", 5)]
 
 
 def test_crosscheck_small():
