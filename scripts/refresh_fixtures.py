@@ -200,7 +200,7 @@ def main() -> int:
         header = HEAD_TABLE.format(name="A170927", desc="ratio-profile minima locations")
     write("A170927", header, seq)
 
-    y = engine.simulate_y_toothpick(128)
+    y = engine.grow("y", 128).added_per_stage()
     write(
         "y_toothpick_added",
         HEAD_SNAPSHOT.format(

@@ -7,14 +7,7 @@ others and against bundled b-file fixtures.
 """
 
 from .sequences import IntSequence
-from .engine import (
-    Segment,
-    corner_boundary_snapshot,
-    grow,
-    new_structure,
-    simulate_t_toothpick,
-    simulate_y_toothpick,
-)
+from .engine import Segment, corner_boundary_snapshot, grow, new_structure
 from .gridca import (
     CellGrid,
     MALTESE,
@@ -27,8 +20,6 @@ from .gridca import (
     activation_map,
     build_maltese_by_construction,
     run,
-    run_maltese,
-    run_toothpick_digraph,
     uw_von_neumann,
 )
 from .verify import SequenceBinding, bindings, crosscheck, fetch_bfile, parse_bfile
@@ -39,8 +30,6 @@ __all__ = [
     "corner_boundary_snapshot",
     "grow",
     "new_structure",
-    "simulate_t_toothpick",
-    "simulate_y_toothpick",
     "CellGrid",
     "MALTESE",
     "MOORE8",
@@ -52,8 +41,6 @@ __all__ = [
     "activation_map",
     "build_maltese_by_construction",
     "run",
-    "run_maltese",
-    "run_toothpick_digraph",
     "uw_von_neumann",
     "SequenceBinding",
     "bindings",

@@ -10,10 +10,8 @@ from fractions import Fraction
 
 from . import engine
 from . import recurrences as rec
-from .gridca import ON, CellGrid, _digraph_in_neighbors, _vn_dirs
-
-# Unit steps in doubled coordinates, counterclockwise: E N W S.
-_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+from .engine import _STEPS  # unit steps E N W S, which a unit edge's d indexes
+from .gridca import ON, CellGrid, _vn_dirs
 
 
 class NonRectangularFaceError(AssertionError):
@@ -27,18 +25,22 @@ class RectangleReport:
 
 
 def _unit_edges(segments):
-    """Break segments into unit edges of the doubled lattice."""
+    """Break square-lattice segments into unit edges of the doubled lattice."""
+    table = engine.UNIT_EDGES
     for seg in segments:
-        if seg.orient == "s":
-            yield (seg.x, seg.y, 0)  # seed: one unit edge pointing east
-        elif seg.orient == "v":
-            yield (seg.x, seg.y - 1, 1)
-            yield (seg.x, seg.y, 1)
-        elif seg.orient == "h":
-            yield (seg.x - 1, seg.y, 0)
-            yield (seg.x, seg.y, 0)
-        else:
-            raise ValueError(f"faces are defined on the square lattice, not {seg.orient!r}")
+        x, y = seg.x, seg.y
+        for dx, dy, d in table[seg.orient]:
+            yield (x + dx, y + dy, d)
+
+
+def _find(parent: dict, a):
+    """Union-find root of a; every node on the path is relinked to it."""
+    root = a
+    while parent[root] != root:
+        root = parent[root]
+    while parent[a] != root:
+        parent[a], a = root, parent[a]
+    return root
 
 
 def _corner_wall_edges(structure):
@@ -55,8 +57,8 @@ def _corner_wall_edges(structure):
         yield (x, 0, 0)
 
 
-def extract_faces(segments, raw_edges: bool = False):
-    """Trace every face of the rectilinear arrangement.
+def extract_faces(edges):
+    """Trace every face of the arrangement of unit edges (x, y, d).
 
     Returns (bounded, unbounded_count) where bounded is a list of
     (turns, min_x, min_y, max_x, max_y) per positive-area face.  The
@@ -66,7 +68,7 @@ def extract_faces(segments, raw_edges: bool = False):
     and show up as extra turns.
     """
     has_edge = set()
-    for x, y, d in (segments if raw_edges else _unit_edges(segments)):
+    for x, y, d in edges:
         has_edge.add((x, y, d))
         q = (x + _STEPS[d][0], y + _STEPS[d][1])
         has_edge.add((q[0], q[1], (d + 2) % 4))
@@ -114,18 +116,23 @@ def extract_faces(segments, raw_edges: bool = False):
     return bounded, unbounded
 
 
+# Segment variants whose faces are read; the corner structure adds the
+# excluded quadrant's walls.
+FACE_VARIANTS = ("toothpick", "corner")
+
+
 def detect_rectangles(structure) -> RectangleReport:
     """All bounded faces of a toothpick or corner structure, as rectangles.
 
     A bounded face with any shape other than a plain axis-aligned
     rectangle (4 turns, no spikes) raises NonRectangularFaceError.
     """
-    if structure.variant not in ("toothpick", "corner"):
+    if structure.variant not in FACE_VARIANTS:
         raise ValueError("face extraction applies to the plain and corner variants")
     edges = list(_unit_edges(structure.iter_segments()))
     if structure.variant == "corner":
         edges.extend(_corner_wall_edges(structure))
-    bounded, _ = extract_faces(edges, raw_edges=True)
+    bounded, _ = extract_faces(edges)
     rects = []
     for turns, mnx, mny, mxx, mxy in bounded:
         if turns != 4:
@@ -144,15 +151,7 @@ def rectangle_counts_by_stage(structure) -> list[int]:
     a union-find over the unit edges keeps all three incremental.
     """
     parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
+    find = _find
     V = E = Cmp = 0
 
     def add_edges(unit_edges):
@@ -166,7 +165,7 @@ def rectangle_counts_by_stage(structure) -> list[int]:
                     V += 1
                     Cmp += 1
             E += 1
-            ra, rb = find(a), find(b)
+            ra, rb = find(parent, a), find(parent, b)
             if ra != rb:
                 parent[ra] = rb
                 Cmp -= 1
@@ -298,24 +297,38 @@ def _is_tree(cells: set, neighbor_pairs) -> bool:
     if not cells:
         return True
     parent = {c: c for c in cells}
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
     edges = 0
     for a, b in neighbor_pairs:
         edges += 1
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
             return False  # cycle
         parent[ra] = rb
-    roots = {find(c) for c in cells}
+    roots = {_find(parent, c) for c in cells}
     return len(roots) == 1 and edges == len(cells) - 1
+
+
+def _is_activation_tree(nodes) -> bool:
+    """Join each node ((x, y), stage, vertical) of a stage past 1 to its
+    one strictly earlier perpendicular neighbor, and check that the joins
+    make a tree; a node with no such neighbor or two fails.
+
+    A vertical's perpendicular neighbors are (x +- 1, y), a horizontal's
+    (x, y +- 1); same-axis neighbors are end-on-midpoint contacts.
+    """
+    nodes = list(nodes)
+    stage = {c: st for c, st, _ in nodes}
+    pairs = []
+    for c, st, vertical in nodes:
+        if st <= 1:
+            continue
+        x, y = c
+        nbrs = ((x - 1, y), (x + 1, y)) if vertical else ((x, y - 1), (x, y + 1))
+        parents = [q for q in nbrs if stage.get(q, st) < st]
+        if len(parents) != 1:
+            return False
+        pairs.append((parents[0], c))
+    return _is_tree(set(stage), pairs)
 
 
 # Segment variants whose activation edges the tree check can read: each
@@ -349,40 +362,17 @@ def tree_check(obj) -> bool:
         )
         return _is_tree(cells, pairs)
     if isinstance(obj, CellGrid):
-        stage = {c: st for c, (s, st) in obj.states.items() if s == ON}
-        pairs = []
-        for c, st in stage.items():
-            if st == 1:
-                continue
-            parents = [q for q in _digraph_in_neighbors(c) if stage.get(q, st) < st]
-            if len(parents) != 1:
-                return False
-            pairs.append((parents[0], c))
-        return _is_tree(set(stage), pairs)
+        # A digraph cell with x + y even stands for a vertical toothpick.
+        return _is_activation_tree(
+            (c, st, (c[0] + c[1]) % 2 == 0) for c, (s, st) in obj.states.items() if s == ON
+        )
     if obj.variant not in TREE_VARIANTS:
         raise ValueError(f"tree checks apply to square-lattice toothpicks, not {obj.variant!r}")
-    # Segment structure: midpoints, joined to the unique earlier-stage
-    # perpendicular neighbor (the toothpick whose exposed end spawned
-    # this one; same-axis neighbors are end-on-midpoint contacts).
-    stage = {}
-    orient = {}
-    for s in obj.iter_segments():
-        if s.orient in ("h", "v"):
-            stage[(s.x, s.y)] = s.stage
-            orient[(s.x, s.y)] = s.orient
-    pairs = []
-    for c, st in stage.items():
-        if st <= 1:
-            continue
-        if orient[c] == "h":
-            nbrs = ((c[0], c[1] + 1), (c[0], c[1] - 1))
-        else:
-            nbrs = ((c[0] + 1, c[1]), (c[0] - 1, c[1]))
-        parents = [q for q in nbrs if stage.get(q, st) < st]
-        if len(parents) != 1:
-            return False
-        pairs.append((parents[0], c))
-    return _is_tree(set(stage), pairs)
+    return _is_activation_tree(
+        ((s.x, s.y), s.stage, s.orient == "v")
+        for s in obj.iter_segments()
+        if s.orient in ("h", "v")
+    )
 
 
 def quadrant_Q(n: int) -> int:

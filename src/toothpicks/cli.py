@@ -12,20 +12,27 @@ import sys
 from . import analysis, engine, gridca, render, verify
 
 GRID_VARIANTS = {
-    "uw": lambda: gridca.uw_von_neumann(2),
-    "uw1": lambda: gridca.uw_von_neumann(1),
-    "uw3": lambda: gridca.uw_von_neumann(3),
-    "uw4": lambda: gridca.uw_von_neumann(4),
-    "moore8": lambda: gridca.MOORE8,
-    "moore8_corner1": lambda: gridca.MOORE8_CORNER1,
-    "moore8_corner2": lambda: gridca.MOORE8_CORNER2,
-    "rule942": lambda: gridca.RULE942,
-    "toothpick_digraph": lambda: gridca.TOOTHPICK_DIGRAPH,
-    "maltese": lambda: gridca.MALTESE,
+    "uw": gridca.uw_von_neumann(2),
+    "uw1": gridca.uw_von_neumann(1),
+    "uw3": gridca.uw_von_neumann(3),
+    "uw4": gridca.uw_von_neumann(4),
+    "moore8": gridca.MOORE8,
+    "moore8_corner1": gridca.MOORE8_CORNER1,
+    "moore8_corner2": gridca.MOORE8_CORNER2,
+    "rule942": gridca.RULE942,
+    "toothpick_digraph": gridca.TOOTHPICK_DIGRAPH,
+    "maltese": gridca.MALTESE,
 }
 
 # render_grid draws two-dimensional grids only.
-PLANE_GRIDS = tuple(name for name, rule in GRID_VARIANTS.items() if rule().dimension == 2)
+PLANE_GRIDS = tuple(name for name, rule in GRID_VARIANTS.items() if rule.dimension == 2)
+
+# The variant each structure check reads when --variant is not given,
+# and the variants it can read; the other checks read none.
+CHECK_VARIANTS = {
+    "tree": ("uw", analysis.TREE_VARIANTS + tuple(GRID_VARIANTS)),
+    "rectangles": ("toothpick", analysis.FACE_VARIANTS),
+}
 
 METHOD_ORDER = ("closedform", "recurrence", "genfunc", "simulate")
 METHOD_ALIASES = {"formula": "closedform"}
@@ -79,27 +86,27 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("ratio-bound", "local-minima", "limit-sample", "rectangles", "tree"))
     ana.add_argument("--nmax", type=_at_least(1), default=256)
     ana.add_argument("--k", type=_at_least(1), default=14, help="sample exponent for limit-sample")
-    ana.add_argument("--variant", default="uw",
+    ana.add_argument("--variant",
                      choices=sorted(set(analysis.TREE_VARIANTS) | set(GRID_VARIANTS)),
-                     help="structure or grid for tree checks")
+                     help="structure or grid for the tree check (default uw) or the "
+                          "rectangles check (default toothpick)")
     ana.add_argument("--csv", action="store_true", help="CSV output for limit-sample")
     return ap
 
 
+def _grow(variant: str, stages: int):
+    """The cell grid or segment structure a variant names, grown by `stages`."""
+    if variant in GRID_VARIANTS:
+        return gridca.CellGrid(GRID_VARIANTS[variant]).grow(stages)
+    return engine.grow(variant, stages)
+
+
 def _cmd_simulate(args) -> int:
-    if args.variant in GRID_VARIANTS:
-        grid = gridca.CellGrid(GRID_VARIANTS[args.variant]())
-        grid.grow(args.stages)
-        counts = grid.counts
-        dump = grid.dump
-    else:
-        s = engine.grow(args.variant, args.stages)
-        counts = s.counts
-        dump = s.dump
-    print(" ".join(map(str, counts)))
+    grown = _grow(args.variant, args.stages)
+    print(" ".join(map(str, grown.counts)))
     if args.dump:
         with open(args.dump, "w") as fh:
-            fh.write(dump())
+            fh.write(grown.dump())
     return 0
 
 
@@ -174,18 +181,20 @@ def _cmd_render(args) -> int:
     cfg = render.RenderConfig(
         scale=args.scale, color_mode=args.color_mode, show_exposed=args.show_exposed
     )
-    if args.variant in GRID_VARIANTS:
-        grid = gridca.CellGrid(GRID_VARIANTS[args.variant]())
-        grid.grow(args.stages)
-        svg = render.render_grid(grid, cfg)
-    else:
-        svg = render.render_structure(engine.grow(args.variant, args.stages), cfg)
+    draw = render.render_grid if args.variant in GRID_VARIANTS else render.render_structure
+    svg = draw(_grow(args.variant, args.stages), cfg)
     with open(args.out, "w") as fh:
         fh.write(svg)
     return 0
 
 
 def _cmd_analyze(args) -> int:
+    default, readable = CHECK_VARIANTS.get(args.check, (None, ()))
+    if args.variant is not None and args.variant not in readable:
+        print(f"analyze: --check {args.check} does not read --variant {args.variant}",
+              file=sys.stderr)
+        return 2
+    variant = args.variant or default
     if args.check == "ratio-bound":
         rep = analysis.ratio_bound_check(args.nmax)
         print(f"ratio bound holds for 1 <= n <= {rep.n_max}")
@@ -204,21 +213,17 @@ def _cmd_analyze(args) -> int:
         print(f"endpoints: f(0)={float(ls.left_value):.6f} f(1)={float(ls.right_value):.6f}")
         return 0
     if args.check == "rectangles":
-        s = engine.grow("toothpick", args.nmax)
-        rep = analysis.detect_rectangles(s)
+        rep = analysis.detect_rectangles(_grow(variant, args.nmax))
         print(f"bounded faces after {args.nmax} stages: {rep.count}, all rectangles")
         return 0
     if args.check == "tree":
-        if args.variant in GRID_VARIANTS:
-            obj = gridca.CellGrid(GRID_VARIANTS[args.variant]()).grow(args.nmax)
-        else:
-            obj = engine.grow(args.variant, args.nmax)
+        grown = _grow(variant, args.nmax)
         try:
-            ok = analysis.tree_check(obj)
+            ok = analysis.tree_check(grown)
         except ValueError as exc:
             print(f"analyze: {exc}", file=sys.stderr)
             return 2
-        print(f"{args.variant} at n={args.nmax}: {'tree' if ok else 'NOT a tree'}")
+        print(f"{variant} at n={args.nmax}: {'tree' if ok else 'NOT a tree'}")
         return 0
     raise AssertionError(args.check)
 

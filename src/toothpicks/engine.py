@@ -71,6 +71,24 @@ _TOOTHPICKS = ((("v", 0, 0),), (("h", 0, 0),))
 _STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # E N W S
 
 
+class _SquareLattice(dict):
+    """A table keyed by square-lattice orient: a Y arm is refused."""
+
+    def __missing__(self, orient):
+        raise ValueError(f"no square-lattice geometry for orient {orient!r}")
+
+
+# Doubled (min_x, min_y, max_x, max_y) of a square-lattice segment,
+# relative to its (x, y); the corner seed runs east from its left end.
+EXTENTS = _SquareLattice(s=(0, 0, 1, 0), v=(0, -1, 0, 1), h=(-1, 0, 1, 0))
+# The same segments as unit edges (dx, dy, d) of the doubled lattice,
+# d indexing _STEPS: east along a horizontal, north along a vertical.
+UNIT_EDGES = _SquareLattice({
+    o: tuple((x, y0, 0) for x in range(x0, x1)) + tuple((x0, y, 1) for y in range(y0, y1))
+    for o, (x0, y0, x1, y1) in EXTENTS.items()
+})
+
+
 def _t_tables():
     """A T with stem direction u (index i): all three ends at doubled distance
     2 from its center, at 2u and +-2v with v = u turned a quarter left; each
@@ -211,13 +229,6 @@ class _Structure:
         for n in range(self.stage + 1):
             yield from self.stage_segments(n)
 
-    def stage_midpoints(self, n: int) -> tuple[str, np.ndarray, np.ndarray]:
-        """(orient, x, y) of the toothpicks of stage n, as arrays."""
-        if self._row.draws is not _TOOTHPICKS:
-            raise ValueError(f"{self.variant} elements are not single toothpicks")
-        xs, ys, _ = self._placed[n]
-        return "vh"[(self._row.seed[0][2] + n - 1) % 2], xs, ys
-
     def exposed_points(self) -> set[tuple[int, int]]:
         xs, ys = np.nonzero(self.occ == 1)
         return set(zip((xs - self.half).tolist(), (ys - self.half).tolist()))
@@ -243,39 +254,16 @@ def grow(variant: str, stages: int, fast: bool | None = None) -> _Structure:
     return new_structure(variant).grow(stages)
 
 
-def simulate_t_toothpick(n: int) -> IntSequence:
-    """Per-stage T-toothpick counts tau(0..n) (A160173)."""
-    return grow("t", n).added_per_stage()
-
-
-def simulate_y_toothpick(n: int) -> IntSequence:
-    """Per-stage Y-toothpick counts y(0..n) (A160121-style additions)."""
-    return grow("y", n).added_per_stage()
-
-
-def segment_extent(seg: Segment) -> tuple[int, int, int, int]:
-    """Doubled (min_x, min_y, max_x, max_y) of one square-lattice segment."""
-    if seg.orient == "s":
-        return seg.x, seg.y, seg.x + 1, seg.y
-    if seg.orient == "v":
-        return seg.x, seg.y - 1, seg.x, seg.y + 1
-    if seg.orient == "h":
-        return seg.x - 1, seg.y, seg.x + 1, seg.y
-    raise ValueError(f"no square-lattice extent for orient {seg.orient!r}")
-
-
 def bounding_box(structure: _Structure) -> tuple[int, int, int, int]:
-    """Doubled (min_x, min_y, max_x, max_y) over all segments."""
-    mnx = mny = mxx = mxy = None
-    for seg in structure.iter_segments():
-        x0, y0, x1, y1 = segment_extent(seg)
-        mnx = x0 if mnx is None else min(mnx, x0)
-        mny = y0 if mny is None else min(mny, y0)
-        mxx = x1 if mxx is None else max(mxx, x1)
-        mxy = y1 if mxy is None else max(mxy, y1)
-    if mnx is None:
+    """Doubled (min_x, min_y, max_x, max_y) over all square-lattice segments."""
+    boxes = []
+    for s in structure.iter_segments():
+        x0, y0, x1, y1 = EXTENTS[s.orient]
+        boxes.append((s.x + x0, s.y + y0, s.x + x1, s.y + y1))
+    if not boxes:
         raise ValueError("empty structure has no bounding box")
-    return mnx, mny, mxx, mxy
+    x0, y0, x1, y1 = zip(*boxes)
+    return min(x0), min(y0), max(x1), max(y1)
 
 
 @dataclass(frozen=True)

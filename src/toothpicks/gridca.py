@@ -61,18 +61,11 @@ def _vn_dirs(d: int):
 MOORE_DIRS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
 
 
-def _digraph_in_neighbors(p):
+def _digraph_eligible(on, cells):
     # Even cells (x+y even) stand for vertical toothpicks and are fed by
     # their horizontal neighbors; odd cells by their vertical neighbors.
-    x, y = p
-    if (x + y) % 2 == 0:
-        return ((x - 1, y), (x + 1, y))
-    return ((x, y - 1), (x, y + 1))
-
-
-def _digraph_eligible(on, cells):
     # With the von Neumann offsets, columns 0-1 are the horizontal
-    # neighbors and 2-3 the vertical ones (see `_digraph_in_neighbors`).
+    # neighbors and 2-3 the vertical ones.
     even = (cells[:, 0] + cells[:, 1]) % 2 == 0
     return np.where(even, on[:, 0] + on[:, 1], on[:, 2] + on[:, 3]) == 1
 
@@ -326,16 +319,6 @@ def run(rule: RuleId, n: int) -> IntSequence:
     counts = [0] + [size(frontier.step()) for _ in range(n)]
     label = f"uw_d{rule.dimension}" if rule.name == "uw_von_neumann" else rule.name
     return IntSequence(0, tuple(counts), label, "simulate")
-
-
-def run_toothpick_digraph(n: int) -> IntSequence:
-    """Node activations of the directed-grid model; equals toothpick t(n)."""
-    return run(TOOTHPICK_DIGRAPH, n)
-
-
-def run_maltese(n: int) -> IntSequence:
-    """Per-stage ON counts of the three-state Maltese-cross automaton."""
-    return run(MALTESE, n)
 
 
 def build_maltese_by_construction(n: int) -> IntSequence:

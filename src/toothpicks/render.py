@@ -7,7 +7,7 @@ and there are no timestamps or random ids.
 
 from dataclasses import dataclass
 
-from .engine import Y_ARMS, Segment, bounding_box, segment_extent
+from .engine import EXTENTS, Y_ARMS, bounding_box
 from .gridca import DEAD, ON, CellGrid
 
 PALETTE = (
@@ -24,7 +24,6 @@ SQRT3_2 = 0.8660254037844386
 class RenderConfig:
     scale: int = 16  # pixels per unit length
     color_mode: str = "by-stage"  # or "monochrome"
-    viewport: tuple[float, float, float, float] | None = None  # doubled coords
     show_exposed: bool = False
 
     def __post_init__(self):
@@ -42,12 +41,11 @@ def _fmt(v: float) -> str:
 
 def _style(cfg: RenderConfig, kind: str) -> list[str]:
     out = ["<style>"]
+    prop = "stroke" if kind == "line" else "fill"
     if cfg.color_mode == "by-stage":
         for i, color in enumerate(PALETTE):
-            prop = "stroke" if kind == "line" else "fill"
             out.append(f".s{i} {{ {prop}: {color}; }}")
     else:
-        prop = "stroke" if kind == "line" else "fill"
         out.append(f".s {{ {prop}: #000000; }}")
     out.append(".dead { stroke: #aaaaaa; }")
     out.append(".seed { stroke: #000000; }")
@@ -86,16 +84,9 @@ def render_structure(structure, cfg: RenderConfig = RenderConfig()) -> str:
     """
     if structure.variant == "y":
         return _render_y(structure, cfg)
-    rows = sorted(
-        (s.stage, s.orient, s.x, s.y) for s in structure.iter_segments()
-    )
-    if cfg.viewport is not None:
-        box = cfg.viewport
-    elif rows:
-        box = bounding_box(structure)
-    else:
-        box = (0, 0, 0, 0)
-    mnx, mny, _, mxy = box
+    rows = sorted((s.stage, s.orient, s.x, s.y) for s in structure.iter_segments())
+    box = bounding_box(structure) if rows else (0, 0, 0, 0)
+    mnx, _, _, mxy = box
     px = cfg.scale / 2
     pad = cfg.scale
 
@@ -104,9 +95,9 @@ def render_structure(structure, cfg: RenderConfig = RenderConfig()) -> str:
 
     body = []
     for stage, orient, x, y in rows:
-        x0, y0, x1, y1 = segment_extent(Segment(stage, orient, x, y))
-        ax, ay = to_px(x0, y0)
-        bx, by = to_px(x1, y1)
+        x0, y0, x1, y1 = EXTENTS[orient]
+        ax, ay = to_px(x + x0, y + y0)
+        bx, by = to_px(x + x1, y + y1)
         cls = "seed" if orient == "s" else _class_for(cfg, stage)
         body.append(
             f'<line class="{cls}" x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
@@ -172,8 +163,6 @@ def render_grid(grid: CellGrid, cfg: RenderConfig = RenderConfig()) -> str:
         mnx = mny = mxx = mxy = 0
     px = cfg.scale
     pad = cfg.scale
-    w = (mxx - mnx + 1) * px + 2 * pad
-    h = (mxy - mny + 1) * px + 2 * pad
 
     def corner(cx, cy):
         return (cx - mnx) * px + pad, (mxy - cy) * px + pad
@@ -192,13 +181,5 @@ def render_grid(grid: CellGrid, cfg: RenderConfig = RenderConfig()) -> str:
                 f'<path class="dead" d="M {_fmt(x)} {_fmt(y)} l {_fmt(px)} {_fmt(px)} '
                 f'M {_fmt(x + px)} {_fmt(y)} l {_fmt(-px)} {_fmt(px)}"/>'
             )
-    head = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(w)}" height="{_fmt(h)}" viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
-        f"<metadata>color-mode={cfg.color_mode}; palette=stage mod 16 -> "
-        + ",".join(PALETTE)
-        + "</metadata>",
-    ]
-    head.extend(_style(cfg, "rect"))
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    # A cell is one unit wide: two doubled units.
+    return _document(body, (2 * mnx, 2 * mny, 2 * mxx + 2, 2 * mxy + 2), cfg, "rect")

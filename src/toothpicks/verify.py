@@ -279,26 +279,23 @@ def _rule(name):
     return functools.partial(rec.prefix, name)
 
 
-def _rect_geometric(n):
-    from .analysis import rectangle_counts_by_stage
-
-    s = engine.grow("toothpick", n)
-    return IntSequence(0, tuple(rectangle_counts_by_stage(s)), "rect_R", "simulate")
-
-
 def _local_minima(n):
     from .analysis import local_minima
 
     return local_minima(4096)[:n]
 
 
-def _rho_geometric(n):
-    from .analysis import rectangle_counts_by_stage
+def _faces_added(variant):
+    """Bounded faces added per stage, by Euler's formula on the grown structure."""
 
-    s = engine.grow("corner", n)
-    totals = rectangle_counts_by_stage(s)
-    diffs = [totals[0]] + [totals[i] - totals[i - 1] for i in range(1, len(totals))]
-    return IntSequence(0, tuple(diffs), "rect_rho", "simulate")
+    def make(n):
+        from .analysis import rectangle_counts_by_stage
+
+        totals = [0] + rectangle_counts_by_stage(engine.grow(variant, n))
+        added = (b - a for a, b in zip(totals, totals[1:]))
+        return IntSequence(0, tuple(added), f"{variant}_faces", "simulate")
+
+    return make
 
 
 SIM = 512  # default simulation bound (acceptance scale)
@@ -369,14 +366,14 @@ def bindings() -> dict[str, SequenceBinding]:
             Route("closedform", lambda n: cf.uw_d(4, n), REC),
         )),
         _bind("rect_rho", "A168131", (
-            Route("simulate", _rho_geometric, 256),
+            Route("simulate", _faces_added("corner"), 256),
             Route("recurrence", _rule("rho"), REC),
         )),
         _bind("rect_r", "A160125", (
             Route("recurrence", _rule("r"), REC),
         )),
         _bind("rect_R", "A160124", (
-            Route("simulate", _rect_geometric, SIM),
+            Route("simulate", _faces_added("toothpick"), SIM, sums=True),
             Route("recurrence", _rule("r"), REC, sums=True),
         )),
         _bind("eight_v", "A151726", (
@@ -403,7 +400,7 @@ def bindings() -> dict[str, SequenceBinding]:
             Route("closedform", cf.r942_delta, REC),
         ), fixture="table7_delta"),
         _bind("t_toothpick_tau", "A160173", (
-            Route("simulate", engine.simulate_t_toothpick, SIM),
+            Route("simulate", _counts("t"), SIM),
             Route("closedform", cf.ttp_tau, REC),
         )),
         _bind("maltese_m", "A151906", (
@@ -411,14 +408,14 @@ def bindings() -> dict[str, SequenceBinding]:
             Route("closedform", cf.maltese_m, REC),
         )),
         _bind("maltese_ca", "A151906", (
-            Route("simulate", gridca.run_maltese, 64),
+            Route("simulate", _counts(gridca.MALTESE), 64),
             Route("closedform", cf.maltese_m, REC),
         ), must_agree=False, fixture=None, note=(
             "the reconstructed three-state rules track the construction "
             "oracle through stage 17 and first diverge at stage 18"
         )),
         _bind("y_toothpick", "A160120", (
-            Route("simulate", engine.simulate_y_toothpick, 128),
+            Route("simulate", _counts("y"), 128),
         ), must_agree=False, fixture="y_toothpick_added", note=(
             "no formula oracle exists; the fixture is a pinned engine "
             "snapshot, so this binding is a regression pin, not a proof"

@@ -51,7 +51,7 @@ def test_criterion_1_table_goldens():
     assert [cf.t_explicit(n) for n in range(50)] == fx["A139251"]
     assert series.toothpick_gf(50).coeffs == fx["A139251"]
     assert engine.grow("toothpick", 49).counts == fx["A139251"]
-    assert list(gridca.run_toothpick_digraph(49).terms) == fx["A139251"]
+    assert list(gridca.run(gridca.TOOTHPICK_DIGRAPH, 49).terms) == fx["A139251"]
     assert rec.prefix("T", 49) == fx["A139250"]
     assert series.toothpick_total_gf(50).coeffs == fx["A139250"]
     # corner c, C for n <= 39
@@ -242,7 +242,7 @@ def test_criterion_7_leftist_sierpinski():
 def test_criterion_8_maltese():
     construction = gridca.build_maltese_by_construction(256)
     assert list(construction.terms) == [cf.maltese_m(n) for n in range(257)]
-    ca = gridca.run_maltese(64)
+    ca = gridca.run(gridca.MALTESE, 64)
     formula = [cf.maltese_m(n) for n in range(65)]
     div = next((n for n in range(65) if ca.terms[n] != formula[n]), None)
     # The CA-rule reconstruction is reported, not required: its expected

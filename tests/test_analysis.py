@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 
 from toothpicks import analysis
 from toothpicks import recurrences as rec
-from toothpicks.engine import grow, new_structure
-from toothpicks.gridca import MALTESE, MOORE8, TOOTHPICK_DIGRAPH, CellGrid, uw_von_neumann
+from toothpicks.engine import Segment, bounding_box, grow, new_structure
+from toothpicks.gridca import MALTESE, MOORE8, ON, TOOTHPICK_DIGRAPH, CellGrid, uw_von_neumann
 
 
 def test_detect_rectangles_examples():
@@ -54,7 +55,7 @@ def test_non_rectangular_face_is_an_error():
         (1, 1, 2),             # across the notch
         (0, 1, 3),             # down the left side
     ]
-    bounded, _ = analysis.extract_faces(edges, raw_edges=True)
+    bounded, _ = analysis.extract_faces(edges)
     assert len(bounded) == 1 and bounded[0][0] == 6
 
 
@@ -121,6 +122,43 @@ def test_tree_check_rejects_t_and_y(variant):
         analysis.tree_check(grow(variant, 8))
 
 
+def test_activation_walk_rejects_a_digraph_node_with_two_parents_or_none():
+    grid = CellGrid(TOOTHPICK_DIGRAPH).grow(6)
+    assert analysis.tree_check(grid)
+    on = set(grid.on_cells())
+    # An OFF cell whose two in-neighbors are both ON is the one the rule
+    # refused; switching it on gives it two earlier parents.
+    two = next(
+        (x, y)
+        for x in range(-8, 9)
+        for y in range(-8, 9)
+        if (x, y) not in on
+        and all(q in on for q in (((x - 1, y), (x + 1, y)) if (x + y) % 2 == 0
+                                  else ((x, y - 1), (x, y + 1))))
+    )
+    grid.states[two] = (ON, grid.stage + 1)
+    assert analysis.tree_check(grid) is False
+    del grid.states[two]
+    grid.states[(20, 20)] = (ON, 3)  # no ON neighbor at all
+    assert analysis.tree_check(grid) is False
+
+
+def test_activation_walk_rejects_a_toothpick_with_two_parents_or_none():
+    s = grow("toothpick", 6)
+    segs = list(s.iter_segments())
+    mids = {(g.x, g.y) for g in segs}
+    # Two verticals meeting end to end leave a point where a horizontal
+    # would touch both of them at its midpoint.
+    x, y = next(
+        (g.x, g.y - 1) for g in segs
+        if g.orient == "v" and (g.x, g.y - 2) in mids and (g.x, g.y - 1) not in mids
+    )
+    for extra in (Segment(7, "h", x, y), Segment(3, "h", 40, 40)):
+        altered = SimpleNamespace(variant="toothpick", iter_segments=lambda e=extra: segs + [e])
+        assert analysis.tree_check(altered) is False
+    assert analysis.tree_check(SimpleNamespace(variant="toothpick", iter_segments=lambda: segs))
+
+
 def test_quadrant_Q():
     assert analysis.quadrant_Q(3) == 1
     assert analysis.quadrant_Q(9) == 11
@@ -132,3 +170,8 @@ def test_quadrant_Q():
 def test_detect_rectangles_rejects_other_variants():
     with pytest.raises(ValueError):
         analysis.detect_rectangles(grow("t", 3))
+    # Y arms have no square-lattice unit edges or extents
+    with pytest.raises(ValueError, match="square.lattice"):
+        analysis.rectangle_counts_by_stage(grow("y", 3))
+    with pytest.raises(ValueError, match="square.lattice"):
+        bounding_box(grow("y", 3))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toothpicks import gridca
+from toothpicks import engine, gridca
 from toothpicks.cli import main
 from toothpicks.verify import parse_bfile
 
@@ -99,6 +99,39 @@ def test_analyze_tree_on_segment_variant(capsys):
                        "--nmax", "20")
     assert code == 0
     assert out.strip() == "leftist at n=20: tree"
+
+
+def test_analyze_tree_defaults_to_uw(capsys):
+    code, out, _ = run(capsys, "analyze", "--check", "tree", "--nmax", "16")
+    assert code == 0
+    assert out.strip() == "uw at n=16: tree"
+
+
+@pytest.mark.parametrize("variant, faces", [(None, 24), ("toothpick", 24), ("corner", 20)])
+def test_analyze_rectangles_reads_its_variant(capsys, variant, faces):
+    argv = ["analyze", "--check", "rectangles", "--nmax", "8"]
+    code, out, _ = run(capsys, *argv, *(["--variant", variant] if variant else []))
+    assert code == 0
+    assert out.strip() == f"bounded faces after 8 stages: {faces}, all rectangles"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--check", "rectangles", "--variant", "leftist"],
+    ["--check", "rectangles", "--variant", "uw"],
+    ["--check", "ratio-bound", "--variant", "toothpick"],
+    ["--check", "local-minima", "--variant", "uw"],
+    ["--check", "limit-sample", "--variant", "corner"],
+])
+def test_analyze_refuses_a_variant_its_check_does_not_read(capsys, monkeypatch, argv):
+    def no_growth(*_):
+        raise AssertionError("grew a structure the check cannot read")
+
+    monkeypatch.setattr(gridca.CellGrid, "grow", no_growth)
+    monkeypatch.setattr(engine, "grow", no_growth)
+    code, out, err = run(capsys, "analyze", *argv, "--nmax", "8")
+    assert code == 2
+    assert out == ""
+    assert "does not read --variant" in err
 
 
 def test_simulate_and_dump(tmp_path, capsys):

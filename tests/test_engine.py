@@ -146,17 +146,17 @@ def test_corner_snapshot_rejects_other_stages():
 
 
 def test_t_toothpick_counts():
-    seq = engine.simulate_t_toothpick(3)
+    seq = grow("t", 3).added_per_stage()
     assert seq.value(0) == 0
     assert seq.value(1) == 1
     assert seq.value(2) == 3
     assert seq.value(3) == 5
-    long = engine.simulate_t_toothpick(512)
+    long = grow("t", 512).added_per_stage()
     assert list(long.terms) == [cf.ttp_tau(n) for n in range(513)]
 
 
 def test_y_toothpick_counts():
-    seq = engine.simulate_y_toothpick(8)
+    seq = grow("y", 8).added_per_stage()
     assert seq.value(0) == 0
     assert seq.value(1) == 1
     assert list(seq.terms) == list(load_fixture("y_toothpick_added").terms)[:9]
@@ -173,27 +173,24 @@ def test_quadrant_relation_geometric():
     # T(n) = 4 * Q(n) + 3 for n >= 3, with Q counted inside one quadrant
     s = new_structure("toothpick")
     s.grow(256)
-    per_stage = [0] * (s.stage + 1)
-    for n in range(s.stage + 1):
-        _, qx, qy = s.stage_midpoints(n)
-        per_stage[n] = int(((qx > 0) & (qy > 0)).sum())
     total_all = 0
     total_q = 0
     for n in range(s.stage + 1):
         total_all += s.counts[n]
-        total_q += per_stage[n]
+        total_q += sum(1 for g in s.stage_segments(n) if g.x > 0 and g.y > 0)
         if n >= 3:
             assert total_all == 4 * total_q + 3, n
 
 
-def test_stage_midpoints_orientation():
-    assert grow("corner", 4).stage_midpoints(3)[0] == "v"
-    assert grow("leftist", 4).stage_midpoints(3)[0] == "h"
-    orient, qx, qy = grow("leftist", 4).stage_midpoints(4)
-    assert orient == "v" and len(qx) == len(qy) == 2
+def test_stage_segments_orientation():
+    # plain, corner and leftist alternate orientation by stage parity
+    assert {g.orient for g in grow("corner", 4).stage_segments(3)} == {"v"}
+    assert {g.orient for g in grow("leftist", 4).stage_segments(3)} == {"h"}
+    segs = grow("leftist", 4).stage_segments(4)
+    assert {g.orient for g in segs} == {"v"} and len(segs) == 2
     for variant in ("t", "y"):  # three segments per element
-        with pytest.raises(ValueError):
-            grow(variant, 3).stage_midpoints(3)
+        s = grow(variant, 3)
+        assert len(s.stage_segments(3)) == 3 * s.counts[3]
 
 
 def test_dump_round_trip_fields():

@@ -16,8 +16,6 @@ from toothpicks.gridca import (
     activation_map,
     build_maltese_by_construction,
     run,
-    run_maltese,
-    run_toothpick_digraph,
     uw_von_neumann,
 )
 from toothpicks.verify import load_fixture
@@ -94,7 +92,7 @@ def test_rule942_counts():
 
 
 def test_digraph_counts():
-    seq = run_toothpick_digraph(64)
+    seq = run(TOOTHPICK_DIGRAPH, 64)
     assert list(seq.terms) == rec.prefix("t", 64)
     assert seq.value(7) == 12
     assert seq.value(1) == 1
@@ -113,7 +111,7 @@ def test_maltese_construction_oracle():
 
 
 def test_maltese_ca_matches_through_17_then_diverges():
-    seq = run_maltese(24)
+    seq = run(MALTESE, 24)
     formula = [cf.maltese_m(n) for n in range(25)]
     assert list(seq.terms[:18]) == formula[:18]
     assert seq.value(1) == 1 and seq.value(2) == 4 and seq.value(5) == 12
@@ -190,8 +188,8 @@ def test_rule_validation():
     pytest.param(lambda: run(MOORE8_CORNER1, -1), id="run-box"),
     pytest.param(lambda: CellGrid(RULE942).grow(-2), id="grid"),
     pytest.param(lambda: CellGrid(TOOTHPICK_DIGRAPH).grow(4).grow(-1), id="grid-resumed"),
-    pytest.param(lambda: run_maltese(-2), id="run_maltese"),
-    pytest.param(lambda: run_toothpick_digraph(-1), id="run_toothpick_digraph"),
+    pytest.param(lambda: run(MALTESE, -2), id="run_maltese"),
+    pytest.param(lambda: run(TOOTHPICK_DIGRAPH, -1), id="run_toothpick_digraph"),
     pytest.param(lambda: build_maltese_by_construction(-1), id="maltese-construction"),
     pytest.param(lambda: engine.grow("toothpick", -3), id="engine-fast"),
     pytest.param(lambda: engine.grow("corner", -1), id="engine-dict"),
@@ -205,4 +203,4 @@ def test_maltese_totals_through_eight():
     # total labeled cells through 8: 0+1+4+4+4+12+4+4+12
     seq = build_maltese_by_construction(8)
     assert sum(seq.terms) == 45
-    assert sum(run_maltese(8).terms) == 45  # CA still agrees this early
+    assert sum(run(MALTESE, 8).terms) == 45  # CA still agrees this early

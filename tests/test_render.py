@@ -74,6 +74,10 @@ def test_three_dimensional_grid_rejected():
     [
         ("toothpick_n6.svg", lambda: render_structure(grow("toothpick", 6))),
         ("corner_n7.svg", lambda: render_structure(grow("corner", 7))),
+        ("t_n6.svg", lambda: render_structure(grow("t", 6))),
+        ("y_n6.svg", lambda: render_structure(grow("y", 6))),
+        ("toothpick_n5_mono_exposed.svg", lambda: render_structure(
+            grow("toothpick", 5), RenderConfig(color_mode="monochrome", show_exposed=True))),
         ("uw_n4.svg", lambda: render_grid(CellGrid(uw_von_neumann(2)).grow(4))),
         ("maltese_n5.svg", lambda: render_grid(CellGrid(MALTESE).grow(5))),
         ("corner_n7.dump", lambda: grow("corner", 7).dump()),

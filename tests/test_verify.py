@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toothpicks import closedform as cf
-from toothpicks import engine, verify
+from toothpicks import analysis, engine, gridca, render, verify
 from toothpicks.sequences import IntSequence, first_divergence
 from toothpicks.verify import (
     SequenceBinding,
@@ -237,6 +238,31 @@ def test_registry_contracts_the_benchmark_relies_on(monkeypatch):
     verify._sim_counts.cache_clear()
     assert sim.make(5).terms == (0, 1, 2, 4, 4, 4)
     assert calls == [("toothpick", 5)]
+
+
+def test_layer_contracts_the_benchmark_relies_on(monkeypatch):
+    # bench/workloads.py grows structures with `fast=False`
+    s = engine.new_structure("toothpick", fast=False).grow(5)
+    assert s.counts == engine.grow("toothpick", 5, fast=False).counts == [0, 1, 2, 4, 4, 4]
+    assert s.total() == 15
+    g = s.stage_segments(3)[0]
+    assert (g.orient, g.x, g.y) in {("v", x, y) for x in (-1, 1) for y in (-1, 1)}
+    # bench/tracing.py counts faces by wrapping the module-level
+    # `extract_faces`, which `detect_rectangles` must look up when it runs
+    assert inspect.isfunction(analysis.extract_faces)
+    assert analysis.extract_faces.__qualname__ == "extract_faces"
+    walked = []
+    real = analysis.extract_faces
+    monkeypatch.setattr(analysis, "extract_faces", lambda *a: walked.append(real(*a)) or walked[-1])
+    assert analysis.detect_rectangles(engine.grow("toothpick", 3)).count == 2
+    bounded, unbounded = walked[0]
+    assert isinstance(bounded, list) and len(bounded) == 2 and isinstance(unbounded, int)
+    assert analysis.rectangle_counts_by_stage(s) == [0, 0, 0, 2, 4, 4]
+    grid = gridca.CellGrid(gridca.MALTESE).grow(5)
+    assert analysis.tree_check(grid) and analysis.tree_check(s)
+    assert len(grid.on_cells()) == 25 and len(grid.dead_cells()) > 0
+    assert render.render_structure(s).count("<line") == 15
+    assert render.render_grid(grid).count("<rect") == 25
 
 
 def test_crosscheck_small():
