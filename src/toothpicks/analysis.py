@@ -7,8 +7,10 @@ appear only when a report is printed.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from . import engine
+import numpy as np
+
 from . import recurrences as rec
 from .engine import _STEPS  # unit steps E N W S, which a unit edge's d indexes
 from .gridca import ON, CellGrid, _vn_dirs
@@ -24,15 +26,6 @@ class RectangleReport:
     rectangles: tuple[tuple[int, int, int, int], ...]  # doubled (x0, y0, x1, y1)
 
 
-def _unit_edges(segments):
-    """Break square-lattice segments into unit edges of the doubled lattice."""
-    table = engine.UNIT_EDGES
-    for seg in segments:
-        x, y = seg.x, seg.y
-        for dx, dy, d in table[seg.orient]:
-            yield (x + dx, y + dy, d)
-
-
 def _find(parent: dict, a):
     """Union-find root of a; every node on the path is relinked to it."""
     root = a
@@ -43,18 +36,48 @@ def _find(parent: dict, a):
     return root
 
 
-def _corner_wall_edges(structure):
+def _corner_wall_edges(x, y):
     """The excluded-quadrant boundary acts as a wall for corner faces.
 
     Rectangles of the corner structure may be closed off by the negative
     axes (their mirror images in the full structure are real toothpicks),
-    so both rays enter the arrangement, extended past the bounding box.
+    so both rays enter the arrangement, extended past the bounding box of
+    the edges that start at (x, y).  Returned as edge arrays
+    (stage, x, y, d) at stage -1, before the structure's own.
     """
-    mnx, mny, _, _ = engine.bounding_box(structure)
-    for y in range(min(mny, 0) - 2, 0):
-        yield (0, y, 1)
-    for x in range(min(mnx, 0) - 2, 0):
-        yield (x, 0, 0)
+    ys = np.arange(min(int(y.min()), 0) - 2, 0)
+    xs = np.arange(min(int(x.min()), 0) - 2, 0)
+    wx = np.concatenate([np.zeros_like(ys), xs])
+    wy = np.concatenate([ys, np.zeros_like(xs)])
+    wd = np.concatenate([np.ones_like(ys), np.zeros_like(xs)])
+    return np.full_like(wx, -1), wx, wy, wd
+
+
+def _face_edges(structure):
+    """A structure's unit edges as arrays (stage, x, y, d), stage-major;
+    a corner structure's walls come first, at stage -1."""
+    edges = structure.unit_edges()
+    if structure.variant == "corner":
+        walls = _corner_wall_edges(edges[1], edges[2])
+        edges = tuple(np.concatenate(p) for p in zip(walls, edges))
+    return edges
+
+
+def _edge_tuples(edges):
+    _, x, y, d = edges
+    return zip(x.tolist(), y.tolist(), d.tolist())
+
+
+# _TURN[d][mask]: arriving along direction d at a vertex whose outgoing
+# directions are the set bits of mask, leave by the first one clockwise
+# from the reversed d (at a dead end, the reversed d itself).
+_TURN = tuple(
+    tuple(
+        next(((d + 2 - t) % 4 for t in (1, 2, 3, 4) if mask >> ((d + 2 - t) % 4) & 1), None)
+        for mask in range(16)
+    )
+    for d in range(4)
+)
 
 
 def extract_faces(edges):
@@ -67,52 +90,48 @@ def extract_faces(edges):
     incoming one, so spikes (degree-1 vertices) are walked in and out
     and show up as extra turns.
     """
-    has_edge = set()
+    steps, turn = _STEPS, _TURN
+    out = {}  # vertex -> bitmask of the directions of its edges
     for x, y, d in edges:
-        has_edge.add((x, y, d))
-        q = (x + _STEPS[d][0], y + _STEPS[d][1])
-        has_edge.add((q[0], q[1], (d + 2) % 4))
-    visited = set()
+        out[x, y] = out.get((x, y), 0) | 1 << d
+        q = (x + steps[d][0], y + steps[d][1])
+        out[q] = out.get(q, 0) | 1 << (d ^ 2)
+    left = dict(out)  # the directed edges no walk has taken yet
     bounded = []
     unbounded = 0
-    steps = _STEPS
-    for start in has_edge:
-        if start in visited:
-            continue
-        x, y, d = start
-        area2 = 0
-        turns = 0
-        mnx = mxx = x
-        mny = mxy = y
-        prev_d = None
-        first_d = d
-        while True:
-            visited.add((x, y, d))
-            if prev_d is not None and prev_d != d:
-                turns += 1
-            prev_d = d
-            dx, dy = steps[d]
-            nx, ny = x + dx, y + dy
-            area2 += x * ny - nx * y
-            x, y = nx, ny
-            mnx = min(mnx, x)
-            mxx = max(mxx, x)
-            mny = min(mny, y)
-            mxy = max(mxy, y)
-            back = (d + 2) % 4
-            for t in (1, 2, 3, 4):
-                nd = (back - t) % 4
-                if (x, y, nd) in has_edge:
-                    d = nd
+    for start in out:
+        while left[start]:
+            first_d = d = (left[start] & -left[start]).bit_length() - 1
+            p = start
+            x, y = p
+            area2 = turns = 0
+            mnx = mxx = x
+            mny = mxy = y
+            while True:
+                left[p] &= ~(1 << d)
+                dx, dy = steps[d]
+                nx, ny = x + dx, y + dy
+                area2 += x * ny - nx * y
+                x, y = nx, ny
+                if x < mnx:
+                    mnx = x
+                elif x > mxx:
+                    mxx = x
+                if y < mny:
+                    mny = y
+                elif y > mxy:
+                    mxy = y
+                p = (x, y)
+                nd = turn[d][out[p]]
+                if nd != d:
+                    turns += 1
+                d = nd
+                if d == first_d and p == start:
                     break
-            if (x, y, d) == start:
-                break
-        if first_d != prev_d:
-            turns += 1
-        if area2 > 0:
-            bounded.append((turns, mnx, mny, mxx, mxy))
-        else:
-            unbounded += 1
+            if area2 > 0:
+                bounded.append((turns, mnx, mny, mxx, mxy))
+            else:
+                unbounded += 1
     return bounded, unbounded
 
 
@@ -121,18 +140,15 @@ def extract_faces(edges):
 FACE_VARIANTS = ("toothpick", "corner")
 
 
-def detect_rectangles(structure) -> RectangleReport:
-    """All bounded faces of a toothpick or corner structure, as rectangles.
-
-    A bounded face with any shape other than a plain axis-aligned
-    rectangle (4 turns, no spikes) raises NonRectangularFaceError.
-    """
+def _walked_edges(structure):
+    """`_face_edges` of a structure whose faces are walked."""
     if structure.variant not in FACE_VARIANTS:
         raise ValueError("face extraction applies to the plain and corner variants")
-    edges = list(_unit_edges(structure.iter_segments()))
-    if structure.variant == "corner":
-        edges.extend(_corner_wall_edges(structure))
-    bounded, _ = extract_faces(edges)
+    return _face_edges(structure)
+
+
+def _rectangles(bounded) -> list[tuple[int, int, int, int]]:
+    """The walked bounded faces as rectangles; any other shape raises."""
     rects = []
     for turns, mnx, mny, mxx, mxy in bounded:
         if turns != 4:
@@ -140,47 +156,141 @@ def detect_rectangles(structure) -> RectangleReport:
                 f"bounded face with {turns} turns inside ({mnx},{mny})..({mxx},{mxy})"
             )
         rects.append((mnx, mny, mxx, mxy))
-    rects.sort()
+    return rects
+
+
+def detect_rectangles(structure) -> RectangleReport:
+    """All bounded faces of a toothpick or corner structure, as rectangles.
+
+    A bounded face with any shape other than a plain axis-aligned
+    rectangle (4 turns, no spikes) raises NonRectangularFaceError.
+    """
+    bounded, _ = extract_faces(_edge_tuples(_walked_edges(structure)))
+    rects = sorted(_rectangles(bounded))
     return RectangleReport(len(rects), tuple(rects))
+
+
+def rectangles_by_stage(structure) -> list[int]:
+    """The bounded faces at each stage 0..stage of a toothpick or corner
+    structure, each checked to be a rectangle, from one face walk.
+
+    The walk runs once, at the last stage, and labels each face with its
+    closing stage: the latest stage among the unit edges on its perimeter.
+    A face whose edges all exist at stage n has no edge inside it then
+    either, so it is a face of stage n.  If at every n the faces closed by
+    n number E - V + C, they are all the faces of stage n, and each was
+    checked; a face split at a later stage makes the counts differ and
+    raises NonRectangularFaceError.
+    """
+    return _rectangles_by_stage(_walked_edges(structure), structure.stage)
+
+
+def _rectangles_by_stage(edges, last: int) -> list[int]:
+    rects = _rectangles(extract_faces(_edge_tuples(edges))[0])
+    closed = np.bincount(_closing_stages(rects, *edges) + 1, minlength=last + 2)
+    walked = closed.cumsum()[1:].tolist()  # a face of walls alone is no face
+    euler = _euler_counts(edges, last)
+    for n, (w, e) in enumerate(zip(walked, euler)):
+        if w != e:
+            raise NonRectangularFaceError(
+                f"stage {n}: {w} walked faces closed by then, Euler count {e}"
+            )
+    return walked
+
+
+def _runs(starts, lengths):
+    """For each i, the lengths[i] integers from starts[i] up; concatenated."""
+    ends = lengths.cumsum()
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _closing_stages(rects, stage, x, y, d):
+    """Per rectangle, the latest stage among the unit edges of its perimeter."""
+    x0, y0, x1, y1 = np.array(rects, dtype=np.int64).reshape(-1, 4).T
+    w, h = x1 - x0, y1 - y0
+    face = np.arange(len(x0))
+    qf = np.concatenate([np.repeat(face, w)] * 2 + [np.repeat(face, h)] * 2)
+    qx = np.concatenate([_runs(x0, w)] * 2 + [np.repeat(x0, h), np.repeat(x1, h)])
+    qy = np.concatenate([np.repeat(y0, w), np.repeat(y1, w)] + [_runs(y0, h)] * 2)
+    qd = np.repeat([0, 1], [2 * w.sum(), 2 * h.sum()])
+
+    mnx, mny = x.min(initial=0), y.min(initial=0)
+    span = y.max(initial=0) - mny + 2  # a vertical edge reaches max(y) + 1
+
+    def key(x, y, d):
+        return ((x - mnx) * span + (y - mny)) * 2 + d
+
+    keys = key(x, y, d)
+    order = np.lexsort((stage, keys))  # a repeated edge exists from its first stage
+    keys, stages = keys[order], stage[order]
+    q = key(qx, qy, qd)
+    at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    if not np.array_equal(keys[at], q):
+        raise NonRectangularFaceError("a walked rectangle's perimeter is not made of edges")
+    closing = np.full(len(x0), -1)
+    np.maximum.at(closing, qf, stages[at])
+    return closing
 
 
 def rectangle_counts_by_stage(structure) -> list[int]:
     """R(0..stage) by Euler's formula, added stage by stage.
 
-    Bounded faces of a connected planar subdivision number E - V + C;
-    a union-find over the unit edges keeps all three incremental.
+    Bounded faces of a planar graph number E - V + C, counted here per
+    stage from numpy edge arrays (`_euler_counts`).
     """
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    find = _find
-    V = E = Cmp = 0
+    return _euler_counts(_face_edges(structure), structure.stage)
 
-    def add_edges(unit_edges):
-        nonlocal V, E, Cmp
-        for x, y, d in unit_edges:
-            a = (x, y)
-            b = (x + _STEPS[d][0], y + _STEPS[d][1])
-            for p in (a, b):
-                if p not in parent:
-                    parent[p] = p
-                    V += 1
-                    Cmp += 1
-            E += 1
-            ra, rb = find(parent, a), find(parent, b)
-            if ra != rb:
-                parent[ra] = rb
-                Cmp -= 1
 
-    wall_faces = 0
-    if structure.variant == "corner" and structure.stage > 0:
-        # Walls longer than needed add equal V and E and no cycles, so
-        # adding them up front leaves every per-stage count unchanged.
-        add_edges(_corner_wall_edges(structure))
-        wall_faces = E - V + Cmp  # zero; keeps the formula honest
-    counts = []
-    for n in range(structure.stage + 1):
-        add_edges(_unit_edges(structure.stage_segments(n)))
-        counts.append(E - V + Cmp - wall_faces if V else 0)
-    return counts
+def _euler_counts(edges, last: int) -> list[int]:
+    """E - V + C after each stage 0..last of a stage-major edge list.
+
+    Edges at stage -1 (the corner walls) come first; their own count,
+    zero, is taken off every later one.  V and E are counted at the
+    stage that brings them.  For C, each vertex hangs from the other end
+    of the edge that first reached it, unless that end is new too: then
+    it starts a component.  Only an edge whose two ends were both there
+    before it can join two components; those that join two different
+    trees of that static forest go, in order, through the union-find.
+    """
+    stage, x, y, d = edges
+    if not len(d):
+        return [0] * (last + 1)
+    steps = np.array(_STEPS)
+    # Endpoints in edge order: a0 b0 a1 b1 ...
+    ex = np.stack([x, x + steps[d, 0]], axis=1).ravel()
+    ey = np.stack([y, y + steps[d, 1]], axis=1).ravel()
+    mny = ey.min()
+    keys = (ex - ex.min()) * (ey.max() - mny + 1) + (ey - mny)
+    _, first, vert = np.unique(keys, return_index=True, return_inverse=True)
+    other = vert[first ^ 1]
+    hangs = first[other] < first
+    root = np.where(hangs, other, np.arange(len(first)))
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    bins = stage + 1  # stage -1 is bin 0
+    a, b = vert[0::2], vert[1::2]
+    pos = np.arange(0, len(ex), 2)
+    closing = (first[a] < pos) & (first[b] < pos)
+    ra, rb, at = root[a[closing]], root[b[closing]], bins[closing]
+    cross = ra != rb
+    merges = np.zeros(last + 2, dtype=np.int64)
+    parent = {}
+    for p, q, n in zip(ra[cross].tolist(), rb[cross].tolist(), at[cross].tolist()):
+        parent.setdefault(p, p)
+        parent.setdefault(q, q)
+        rp, rq = _find(parent, p), _find(parent, q)
+        if rp != rq:
+            parent[rp] = rq
+            merges[n] += 1
+    vbins = bins[first >> 1]
+    E = np.bincount(bins, minlength=last + 2).cumsum()
+    V = np.bincount(vbins, minlength=last + 2).cumsum()
+    C = np.bincount(vbins[~hangs], minlength=last + 2).cumsum() - merges.cumsum()
+    faces = E - V + C
+    return np.where(V > 0, faces - faces[0], 0)[1:].tolist()
 
 
 @dataclass(frozen=True)
@@ -355,10 +465,7 @@ def tree_check(obj) -> bool:
         else:
             half = tuple(v for v in _vn_dirs(obj.dimension) if v > (0,) * obj.dimension)
         pairs = (
-            (c, tuple(c[i] + d[i] for i in range(len(d))))
-            for c in cells
-            for d in half
-            if tuple(c[i] + d[i] for i in range(len(d))) in cells
+            (c, q) for c in cells for q in (tuple(map(add, c, d)) for d in half) if q in cells
         )
         return _is_tree(cells, pairs)
     if isinstance(obj, CellGrid):

@@ -225,6 +225,30 @@ class _Structure:
             )
         return segs
 
+    def unit_edges(self) -> tuple[np.ndarray, ...]:
+        """Every unit edge drawn so far, stage-major, as int64 arrays
+        (stage, x, y, d) on the doubled lattice, d indexing _STEPS (E or N).
+
+        Read from the placements and UNIT_EDGES without building a Segment;
+        a Y arm has no unit edges, so a Y structure raises ValueError.
+        """
+        # (dx, dy, d) tables indexed [direction, edge]: every direction
+        # draws the same number of unit edges.
+        tx, ty, td = np.array(
+            [[(dx + ex, dy + ey, ed) for o, dx, dy in draws for ex, ey, ed in UNIT_EDGES[o]]
+             for draws in self._row.draws],
+            dtype=np.int64,
+        ).transpose(2, 0, 1)
+        x, y, dirs = (np.concatenate(a) for a in zip(*self._placed))
+        x = (tx[dirs] + x[:, None]).ravel()
+        y = (ty[dirs] + y[:, None]).ravel()
+        d = td[dirs].ravel()
+        stage = np.repeat(np.arange(self.stage + 1), np.array(self.counts) * td.shape[1])
+        if self._row.half_seed:
+            seed = np.array([(0, ex, ey, ed) for ex, ey, ed in UNIT_EDGES["s"]], dtype=np.int64)
+            return tuple(np.concatenate(p) for p in zip(seed.T, (stage, x, y, d)))
+        return stage, x, y, d
+
     def iter_segments(self):
         for n in range(self.stage + 1):
             yield from self.stage_segments(n)
@@ -256,14 +280,11 @@ def grow(variant: str, stages: int, fast: bool | None = None) -> _Structure:
 
 def bounding_box(structure: _Structure) -> tuple[int, int, int, int]:
     """Doubled (min_x, min_y, max_x, max_y) over all square-lattice segments."""
-    boxes = []
-    for s in structure.iter_segments():
-        x0, y0, x1, y1 = EXTENTS[s.orient]
-        boxes.append((s.x + x0, s.y + y0, s.x + x1, s.y + y1))
-    if not boxes:
+    _, x, y, d = structure.unit_edges()
+    if not len(d):
         raise ValueError("empty structure has no bounding box")
-    x0, y0, x1, y1 = zip(*boxes)
-    return min(x0), min(y0), max(x1), max(y1)
+    # An edge runs east (d = 0) or north (d = 1) from (x, y).
+    return int(x.min()), int(y.min()), int((x + 1 - d).max()), int((y + d).max())
 
 
 @dataclass(frozen=True)

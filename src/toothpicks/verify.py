@@ -282,7 +282,8 @@ def _rule(name):
 def _local_minima(n):
     from .analysis import local_minima
 
-    return local_minima(4096)[:n]
+    # One minimum per dyadic block: the first n lie below 2**n.
+    return local_minima(1 << min(n, 12))[:n]
 
 
 def _faces_added(variant):

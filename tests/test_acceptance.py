@@ -154,13 +154,11 @@ def test_criterion_4_structural_theorems():
         assert engine.bounding_box(s) == (-half, -half, half, half)
         assert s.exposed_points() == {(a * half, b * half) for a in (-1, 1) for b in (-1, 1)}
     # every bounded face is a rectangle at every stage through 256,
-    # and the counts match the recurrence
+    # and the counts match the recurrence (one face walk at 256, each
+    # face labelled with the stage that closes it; raises on a
+    # non-rectangle or on a face split at a later stage)
     R = list(accumulate(rec.prefix("r", 256)))
-    s = engine.new_structure("toothpick")
-    for n in range(1, 257):
-        s.grow(1)
-        rep = analysis.detect_rectangles(s)  # raises on a non-rectangle
-        assert rep.count == R[n], n
+    assert analysis.rectangles_by_stage(engine.grow("toothpick", 256)) == R
     # trees: full induced subgraph for the one-of-four rule (acyclic at
     # 256 implies acyclic at every earlier stage, and every cell joins an
     # earlier neighbor, so connectivity holds stagewise by induction);

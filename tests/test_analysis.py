@@ -2,11 +2,12 @@ from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from toothpicks import analysis
 from toothpicks import recurrences as rec
-from toothpicks.engine import Segment, bounding_box, grow, new_structure
+from toothpicks.engine import UNIT_EDGES, Segment, bounding_box, grow, new_structure
 from toothpicks.gridca import MALTESE, MOORE8, ON, TOOTHPICK_DIGRAPH, CellGrid, uw_von_neumann
 
 
@@ -21,28 +22,129 @@ def test_detect_rectangles_extents():
     assert rep.rectangles == ((-1, -1, 0, 1), (0, -1, 1, 1))
 
 
+def _walk_every_stage(variant, stages):
+    """The brute-force oracle: one face walk after every stage."""
+    s = new_structure(variant)
+    walked = [analysis.detect_rectangles(s).count]
+    for n in range(1, stages + 1):
+        s.grow(1)
+        walked.append(analysis.detect_rectangles(s).count)
+        if n <= 64:
+            assert analysis.rectangles_by_stage(s) == walked, n
+    return s, walked
+
+
 def test_rectangles_match_recurrence_per_stage():
     R = list(accumulate(rec.prefix("r", 96)))
-    s = new_structure("toothpick")
-    for n in range(1, 97):
-        s.grow(1)
-        assert analysis.detect_rectangles(s).count == R[n], n
-    assert analysis.rectangle_counts_by_stage(s) == R[:97]
+    s, walked = _walk_every_stage("toothpick", 96)
+    assert walked == R
+    assert analysis.rectangle_counts_by_stage(s) == R
 
 
 def test_corner_rectangles_count_against_quadrant_walls():
-    rho = rec.prefix("rho", 96)
-    sums = [sum(rho[: i + 1]) for i in range(97)]
-    s = new_structure("corner")
-    for n in range(1, 97):
-        s.grow(1)
-        assert analysis.detect_rectangles(s).count == sums[n], n
+    sums = list(accumulate(rec.prefix("rho", 96)))
+    s, walked = _walk_every_stage("corner", 96)
+    assert walked == sums
     assert analysis.rectangle_counts_by_stage(s) == sums
 
 
 def test_euler_and_walk_agree_far_out():
     s = grow("toothpick", 512)
     assert analysis.rectangle_counts_by_stage(s) == list(accumulate(rec.prefix("r", 512)))
+
+
+STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # E N W S
+
+
+def _dict_euler(stages, walls=()):
+    """The reference Euler count: E - V + C after each stage, from a dict
+    union-find fed one unit edge (x, y, d) at a time; walls go first."""
+    parent = {}
+    V = E = C = 0
+
+    def find(a):
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def add_edges(edges):
+        nonlocal V, E, C
+        for x, y, d in edges:
+            a = (x, y)
+            b = (x + STEPS[d][0], y + STEPS[d][1])
+            for p in (a, b):
+                if p not in parent:
+                    parent[p] = p
+                    V += 1
+                    C += 1
+            E += 1
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                C -= 1
+
+    add_edges(walls)
+    wall_faces = E - V + C
+    counts = []
+    for edges in stages:
+        add_edges(edges)
+        counts.append(E - V + C - wall_faces if V else 0)
+    return counts
+
+
+def _segment_edges(structure):
+    """Per stage, the unit edges of its Segments, and the corner walls,
+    both worked out from the Segments."""
+    stages = [
+        [(g.x + dx, g.y + dy, d) for g in structure.stage_segments(n)
+         for dx, dy, d in UNIT_EDGES[g.orient]]
+        for n in range(structure.stage + 1)
+    ]
+    walls = []
+    if structure.variant == "corner" and structure.stage > 0:
+        mnx = min(x for edges in stages for x, _, _ in edges)
+        mny = min(y for edges in stages for _, y, _ in edges)
+        walls = [(0, y, 1) for y in range(min(mny, 0) - 2, 0)]
+        walls += [(x, 0, 0) for x in range(min(mnx, 0) - 2, 0)]
+    return stages, walls
+
+
+def _staged(stages):
+    """Per-stage edge lists as the arrays (stage, x, y, d)."""
+    rows = [(n, *e) for n, edges in enumerate(stages) for e in edges]
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+
+@pytest.mark.parametrize("variant", ["toothpick", "corner"])
+def test_euler_count_matches_the_dict_union_find(variant):
+    for n in list(range(65)) + [512]:
+        s = grow(variant, n)
+        got = analysis.rectangle_counts_by_stage(s)
+        assert got == _dict_euler(*_segment_edges(s)), n
+        assert type(got) is list and all(type(c) is int for c in got)
+
+
+def test_euler_count_merges_two_components():
+    square = lambda x, y: [(x, y, 0), (x, y + 1, 0), (x, y, 1), (x + 1, y, 1)]
+    path = lambda y: [(x, y, 0) for x in range(1, 5)]
+    # Two unit squares (C = 2 at stage 1), a path joining them, and a
+    # second path, which closes one more face.
+    stages = [square(0, 0), square(5, 0), path(1), path(0)]
+    assert _dict_euler(stages) == [1, 2, 2, 3]
+    assert analysis._euler_counts(_staged(stages), 3) == [1, 2, 2, 3]
+
+
+def test_a_face_split_later_is_an_error():
+    # A 2 x 1 rectangle closed at stage 1 and split in two at stage 2: the
+    # final walk sees two squares closed at stage 2, Euler one face at stage 1.
+    stages = [[], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (2, 0, 1)], [(1, 0, 1)]]
+    assert _dict_euler(stages) == [0, 1, 2]
+    with pytest.raises(analysis.NonRectangularFaceError, match="stage 1"):
+        analysis._rectangles_by_stage(_staged(stages), 2)
+    assert analysis._rectangles_by_stage(_staged(stages[:2]), 1) == [0, 1]
 
 
 def test_non_rectangular_face_is_an_error():

@@ -99,6 +99,13 @@ def test_fixture_route_bound_is_its_last_index():
         assert gen.make(gen.bound + 100) == seq  # nothing lies past the bound
 
 
+def test_local_minima_route_evaluates_only_the_blocks_it_returns():
+    # One minimum per dyadic block: the first n come from below 2**n.
+    full = analysis.local_minima(4096)
+    for n in range(13):
+        assert verify._local_minima(n) == full[:n], n
+
+
 def test_totals_reuse_the_per_stage_simulation(monkeypatch):
     calls = []
     real_grow = engine.grow
