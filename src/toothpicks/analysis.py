@@ -7,13 +7,13 @@ appear only when a report is printed.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 import numpy as np
 
 from . import recurrences as rec
 from .engine import _STEPS  # unit steps E N W S, which a unit edge's d indexes
-from .gridca import ON, CellGrid, _vn_dirs
+from .engine import _V  # the direction of a vertical toothpick
+from .gridca import ON, CellGrid, _neighborhood
 
 
 class NonRectangularFaceError(AssertionError):
@@ -403,47 +403,43 @@ def local_minima(n_max: int) -> list[int]:
     return out
 
 
-def _is_tree(cells: set, neighbor_pairs) -> bool:
-    if not cells:
-        return True
-    parent = {c: c for c in cells}
-    edges = 0
-    for a, b in neighbor_pairs:
-        edges += 1
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
-            return False  # cycle
-        parent[ra] = rb
-    roots = {_find(parent, c) for c in cells}
-    return len(roots) == 1 and edges == len(cells) - 1
+def _is_tree(coords, stage, offsets, induced: bool) -> bool:
+    """Whether the nodes at `coords` (int64 rows), set at `stage`, make a
+    tree; a node's neighbors are at coords + offsets, offsets being one
+    (k, dim) block for all nodes or one per node.
 
-
-def _is_activation_tree(nodes) -> bool:
-    """Join each node ((x, y), stage, vertical) of a stage past 1 to its
-    one strictly earlier perpendicular neighbor, and check that the joins
-    make a tree; a node with no such neighbor or two fails.
-
-    A vertical's perpendicular neighbors are (x +- 1, y), a horizontal's
-    (x, y +- 1); same-axis neighbors are end-on-midpoint contacts.
+    Induced (the graph of every neighbor pair): exactly one node has no
+    strictly earlier neighbor, so that all are connected to it, and the
+    pairs number N - 1.  Otherwise the activation tree: every node past
+    stage 1 has exactly one strictly earlier neighbor, its parent, and
+    exactly one node has stage <= 1, the one root; joins to strictly
+    earlier parents cannot close a cycle.
     """
-    nodes = list(nodes)
-    stage = {c: st for c, st, _ in nodes}
-    pairs = []
-    for c, st, vertical in nodes:
-        if st <= 1:
-            continue
-        x, y = c
-        nbrs = ((x - 1, y), (x + 1, y)) if vertical else ((x, y - 1), (x, y + 1))
-        parents = [q for q in nbrs if stage.get(q, st) < st]
-        if len(parents) != 1:
-            return False
-        pairs.append((parents[0], c))
-    return _is_tree(set(stage), pairs)
+    if not len(stage):
+        return True
+    lo = coords.min(axis=0) - 1
+    span = coords.max(axis=0) - lo + 2
+    keys = np.ravel_multi_index((coords - lo).T, span)
+    order = np.argsort(keys)
+    near = np.ravel_multi_index(np.moveaxis(coords[:, None, :] + offsets - lo, -1, 0), span)
+    at = order[np.minimum(np.searchsorted(keys[order], near), len(stage) - 1)]
+    present = keys[at] == near
+    earlier = (present & (stage[at] < stage[:, None])).sum(axis=1)
+    if induced:
+        return bool((earlier == 0).sum() == 1 and present.sum() == 2 * (len(stage) - 1))
+    return bool((stage <= 1).sum() == 1 and (earlier[stage > 1] == 1).all())
 
 
 # Segment variants whose activation edges the tree check can read: each
 # toothpick's parent is a perpendicular neighbor on the square lattice.
 TREE_VARIANTS = ("toothpick", "corner", "leftist")
+
+
+def _toothpicks(structure):
+    """`placements()` of a structure whose toothpicks are read one by one."""
+    if structure.variant not in TREE_VARIANTS:
+        raise ValueError(f"toothpick variants only {TREE_VARIANTS}, not {structure.variant!r}")
+    return structure.placements()
 
 
 def tree_check(obj) -> bool:
@@ -458,28 +454,20 @@ def tree_check(obj) -> bool:
     contact graph has 4-cycles by construction and the tree property
     lives in the activation edges.
     """
-    if isinstance(obj, CellGrid) and obj.rule.name != "toothpick_digraph":
-        cells = set(obj.on_cells())  # the Maltese cross also keeps DEAD cells
-        if obj.rule.name in ("moore8", "moore8_corner1", "moore8_corner2"):
-            half = ((1, 0), (0, 1), (1, 1), (1, -1))
-        else:
-            half = tuple(v for v in _vn_dirs(obj.dimension) if v > (0,) * obj.dimension)
-        pairs = (
-            (c, q) for c in cells for q in (tuple(map(add, c, d)) for d in half) if q in cells
-        )
-        return _is_tree(cells, pairs)
     if isinstance(obj, CellGrid):
-        # A digraph cell with x + y even stands for a vertical toothpick.
-        return _is_activation_tree(
-            (c, st, (c[0] + c[1]) % 2 == 0) for c, (s, st) in obj.states.items() if s == ON
-        )
-    if obj.variant not in TREE_VARIANTS:
-        raise ValueError(f"tree checks apply to square-lattice toothpicks, not {obj.variant!r}")
-    return _is_activation_tree(
-        ((s.x, s.y), s.stage, s.orient == "v")
-        for s in obj.iter_segments()
-        if s.orient in ("h", "v")
-    )
+        on = {c: st for c, (s, st) in obj.states.items() if s == ON}  # Maltese keeps DEAD cells
+        coords = np.array(list(on), dtype=np.int64).reshape(-1, obj.dimension)
+        stage = np.fromiter(on.values(), dtype=np.int64, count=len(on))
+        if obj.rule.name != "toothpick_digraph":
+            return _is_tree(coords, stage, np.array(_neighborhood(obj.rule)), induced=True)
+        vertical = coords.sum(axis=1) % 2 == 0  # a digraph cell with x + y even
+    else:
+        stage, x, y, d = _toothpicks(obj)
+        coords, vertical = np.stack([x, y], axis=1), d == _V
+    # A vertical's perpendicular neighbors are (x +- 1, y), a horizontal's
+    # (x, y +- 1); same-axis neighbors are end-on-midpoint contacts.
+    offsets = np.where(vertical[:, None, None], ((-1, 0), (1, 0)), ((0, -1), (0, 1)))
+    return _is_tree(coords, stage, offsets, induced=False)
 
 
 def quadrant_Q(n: int) -> int:
@@ -497,6 +485,5 @@ def quadrant_Q(n: int) -> int:
 
 def quadrant_count_geometric(structure) -> int:
     """Toothpicks whose midpoints lie strictly inside the open first quadrant."""
-    return sum(
-        1 for s in structure.iter_segments() if s.orient in ("h", "v") and s.x > 0 and s.y > 0
-    )
+    _, x, y, _ = _toothpicks(structure)
+    return int(((x > 0) & (y > 0)).sum())

@@ -27,6 +27,11 @@ VARIANTS = ("toothpick", "corner", "leftist", "t", "y")
 
 Y_ARMS = ((1, 0), (-1, 1), (0, -1))
 
+# Every orient in dump order, so that an orient's index sorts like its
+# name; a segment as one entry of `_Structure._drawn` is itself, tagged so.
+_ORIENTS = ("h", "s", "v", "y0", "y1", "y2")
+_AS_SEGMENT = {o: ((0, 0, k),) for k, o in enumerate(_ORIENTS)}
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -142,10 +147,8 @@ class _Structure:
         seed = np.array(self._row.seed, dtype=np.int64)
         self._front = self._key(seed[:, 0], seed[:, 1]) * 8 + seed[:, 2] + 1
         self._placed = [(np.empty(0, dtype=np.int32),) * 2 + (np.empty(0, dtype=np.int8),)]
-        self._segs = {0: ()}
         if self._row.half_seed:
             self.occ.ravel()[self._key(np.array([0, 1]), np.array([0, 0]))] = 1
-            self._segs[0] = (Segment(0, "s", 0, 0),)
 
     def _key(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return (x + self.half) * self.occ.shape[1] + (y + self.half)
@@ -212,46 +215,51 @@ class _Structure:
     def total(self) -> int:
         return sum(self.counts)
 
+    def placements(self) -> tuple[np.ndarray, ...]:
+        """Every element placed so far, stage-major, as int64 arrays
+        (stage, x, y, d): its center and its direction (the row's index)."""
+        x, y, d = (np.concatenate(a, dtype=np.int64) for a in zip(*self._placed))
+        return np.repeat(np.arange(self.stage + 1), self.counts), x, y, d
+
+    def _drawn(self, rows, placed, seed: bool) -> tuple[np.ndarray, ...]:
+        """For each segment drawn by the `placed` elements (and the half
+        seed, if `seed`), the entries (dx, dy, k) of rows[orient] as int64
+        arrays (stage, x + dx, y + dy, k), in placement order."""
+        # (dx, dy, k) tables indexed [direction, entry]: every direction
+        # has the same number of entries.
+        tx, ty, tk = np.array(
+            [[(dx + ex, dy + ey, k) for o, dx, dy in draws for ex, ey, k in rows[o]]
+             for draws in self._row.draws],
+            dtype=np.int64,
+        ).transpose(2, 0, 1)
+        stage, x, y, d = placed
+        drawn = (np.repeat(stage, tk.shape[1]), (tx[d] + x[:, None]).ravel(),
+                 (ty[d] + y[:, None]).ravel(), tk[d].ravel())
+        if seed and self._row.half_seed:
+            head = np.array([(0, ex, ey, k) for ex, ey, k in rows["s"]], dtype=np.int64)
+            drawn = tuple(np.concatenate(p) for p in zip(head.T, drawn))
+        return drawn
+
     def stage_segments(self, n: int) -> tuple[Segment, ...]:
-        """The unit segments (or Y arms) of stage n, built once on first request."""
-        segs = self._segs.get(n)
-        if segs is None:
-            xs, ys, dirs = self._placed[n]
-            segs = self._segs[n] = tuple(
-                Segment(n, o, x, y)
-                for d, draws in enumerate(self._row.draws)
-                for o, dx, dy in draws
-                for x, y in zip((xs[dirs == d] + dx).tolist(), (ys[dirs == d] + dy).tolist())
-            )
-        return segs
+        """The unit segments (or Y arms) of stage n."""
+        x, y, d = self._placed[n]
+        _, *xyk = self._drawn(_AS_SEGMENT, (np.full(len(d), n), x, y, d), n == 0)
+        return tuple(Segment(n, _ORIENTS[k], x, y) for x, y, k in zip(*(a.tolist() for a in xyk)))
+
+    def segments(self) -> list[tuple[int, str, int, int]]:
+        """Every drawn segment as (stage, orient, x, y), in dump order."""
+        stage, x, y, k = self._drawn(_AS_SEGMENT, self.placements(), True)
+        order = np.lexsort((y, x, k, stage))
+        rows = zip(*(a[order].tolist() for a in (stage, k, x, y)))
+        return [(st, _ORIENTS[k], x, y) for st, k, x, y in rows]
 
     def unit_edges(self) -> tuple[np.ndarray, ...]:
         """Every unit edge drawn so far, stage-major, as int64 arrays
         (stage, x, y, d) on the doubled lattice, d indexing _STEPS (E or N).
 
-        Read from the placements and UNIT_EDGES without building a Segment;
-        a Y arm has no unit edges, so a Y structure raises ValueError.
+        A Y arm has no unit edges, so a Y structure raises ValueError.
         """
-        # (dx, dy, d) tables indexed [direction, edge]: every direction
-        # draws the same number of unit edges.
-        tx, ty, td = np.array(
-            [[(dx + ex, dy + ey, ed) for o, dx, dy in draws for ex, ey, ed in UNIT_EDGES[o]]
-             for draws in self._row.draws],
-            dtype=np.int64,
-        ).transpose(2, 0, 1)
-        x, y, dirs = (np.concatenate(a) for a in zip(*self._placed))
-        x = (tx[dirs] + x[:, None]).ravel()
-        y = (ty[dirs] + y[:, None]).ravel()
-        d = td[dirs].ravel()
-        stage = np.repeat(np.arange(self.stage + 1), np.array(self.counts) * td.shape[1])
-        if self._row.half_seed:
-            seed = np.array([(0, ex, ey, ed) for ex, ey, ed in UNIT_EDGES["s"]], dtype=np.int64)
-            return tuple(np.concatenate(p) for p in zip(seed.T, (stage, x, y, d)))
-        return stage, x, y, d
-
-    def iter_segments(self):
-        for n in range(self.stage + 1):
-            yield from self.stage_segments(n)
+        return self._drawn(UNIT_EDGES, self.placements(), True)
 
     def exposed_points(self) -> set[tuple[int, int]]:
         xs, ys = np.nonzero(self.occ == 1)
@@ -259,8 +267,7 @@ class _Structure:
 
     def dump(self) -> str:
         """One line per segment, `stage orient x2 y2`, sorted; byte-stable."""
-        rows = sorted((s.stage, s.orient, s.x, s.y) for s in self.iter_segments())
-        return "".join(f"{st} {o} {x} {y}\n" for st, o, x, y in rows)
+        return "".join(f"{st} {o} {x} {y}\n" for st, o, x, y in self.segments())
 
 
 def new_structure(variant: str, fast: bool | None = None) -> _Structure:

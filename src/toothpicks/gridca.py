@@ -77,21 +77,26 @@ def _corner_blocked(cells):
     return (cells[:, 0] <= 0) & (cells[:, 1] <= 1)
 
 
+def _neighborhood(rule: RuleId):
+    """A rule's neighbor offsets: Moore for moore8*, else von Neumann."""
+    return MOORE_DIRS if rule.name.startswith("moore8") else _vn_dirs(rule.dimension)
+
+
 def _counting(rule: RuleId):
     """(offsets, eligible, blocked or None, seed, symmetric) of a counting rule.
 
     `eligible` takes the candidates' ON mask (a column per offset) and the
     candidates; a symmetric rule is invariant under signed axis permutations.
     """
-    vn, origin = _vn_dirs(rule.dimension), (0,) * rule.dimension
+    origin = (0,) * rule.dimension
     one = lambda on, cells: on.sum(axis=1) == 1
-    return {
-        "uw_von_neumann": (vn, one, None, origin, True),
-        "moore8": (MOORE_DIRS, one, None, origin, True),
-        "moore8_corner1": (MOORE_DIRS, one, _corner_blocked, origin, False),
-        "moore8_corner2": (MOORE_DIRS, one, _corner_blocked, (0, 1), False),
-        "rule942": (vn, lambda on, cells: np.isin(on.sum(axis=1), (1, 4)), None, origin, True),
-        "toothpick_digraph": (vn, _digraph_eligible, None, origin, False),
+    return (_neighborhood(rule),) + {
+        "uw_von_neumann": (one, None, origin, True),
+        "moore8": (one, None, origin, True),
+        "moore8_corner1": (one, _corner_blocked, origin, False),
+        "moore8_corner2": (one, _corner_blocked, (0, 1), False),
+        "rule942": (lambda on, cells: np.isin(on.sum(axis=1), (1, 4)), None, origin, True),
+        "toothpick_digraph": (_digraph_eligible, None, origin, False),
     }[rule.name]
 
 

@@ -84,7 +84,7 @@ def render_structure(structure, cfg: RenderConfig = RenderConfig()) -> str:
     """
     if structure.variant == "y":
         return _render_y(structure, cfg)
-    rows = sorted((s.stage, s.orient, s.x, s.y) for s in structure.iter_segments())
+    rows = structure.segments()
     box = bounding_box(structure) if rows else (0, 0, 0, 0)
     mnx, _, _, mxy = box
     px = cfg.scale / 2
@@ -115,9 +115,8 @@ def render_structure(structure, cfg: RenderConfig = RenderConfig()) -> str:
 
 def _render_y(structure, cfg: RenderConfig) -> str:
     # Axial (x, y) -> Euclidean (x + y/2, y * sqrt(3)/2); arms have unit length.
-    rows = sorted((s.stage, s.orient, s.x, s.y) for s in structure.iter_segments())
     pts = []
-    for stage, orient, x, y in rows:
+    for stage, orient, x, y in structure.segments():
         ax = Y_ARMS[int(orient[1])]
         ex, ey = x + y / 2, y * SQRT3_2
         tx, ty = x + ax[0] + (y + ax[1]) / 2, (y + ax[1]) * SQRT3_2

@@ -160,8 +160,9 @@ def test_criterion_4_structural_theorems():
     R = list(accumulate(rec.prefix("r", 256)))
     assert analysis.rectangles_by_stage(engine.grow("toothpick", 256)) == R
     # trees: full induced subgraph for the one-of-four rule (acyclic at
-    # 256 implies acyclic at every earlier stage, and every cell joins an
-    # earlier neighbor, so connectivity holds stagewise by induction);
+    # 256 implies acyclic at every earlier stage; tree_check also checks
+    # that every cell but the seed touches an earlier one, so the cells
+    # set by any stage are connected);
     # activation tree for the directed toothpick model (the uniqueness
     # of each node's earlier feeder is checked for every node at once).
     assert analysis.tree_check(gridca.CellGrid(gridca.uw_von_neumann(2)).grow(256))
@@ -225,9 +226,9 @@ def test_criterion_6_identities():
 def test_criterion_7_leftist_sierpinski():
     s = engine.grow("leftist", 127)
     rows: dict[int, set[int]] = {}
-    for seg in s.iter_segments():
-        if seg.orient == "h" and seg.stage % 2 == 1:
-            rows.setdefault((seg.stage - 1) // 2, set()).add(seg.y)
+    for stage, orient, _, y in s.segments():
+        if orient == "h" and stage % 2 == 1:
+            rows.setdefault((stage - 1) // 2, set()).add(y)
     for r in range(64):
         want = {2 * j - r for j in range(r + 1) if math.comb(r, j) % 2 == 1}
         assert rows[r] == want, r

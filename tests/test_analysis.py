@@ -7,8 +7,17 @@ import pytest
 
 from toothpicks import analysis
 from toothpicks import recurrences as rec
-from toothpicks.engine import UNIT_EDGES, Segment, bounding_box, grow, new_structure
-from toothpicks.gridca import MALTESE, MOORE8, ON, TOOTHPICK_DIGRAPH, CellGrid, uw_von_neumann
+from toothpicks.engine import UNIT_EDGES, bounding_box, grow, new_structure
+from toothpicks.gridca import (
+    MALTESE,
+    MOORE8,
+    ON,
+    RULE_NAMES,
+    TOOTHPICK_DIGRAPH,
+    CellGrid,
+    RuleId,
+    uw_von_neumann,
+)
 
 
 def test_detect_rectangles_examples():
@@ -56,19 +65,22 @@ def test_euler_and_walk_agree_far_out():
 STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # E N W S
 
 
+def _find(parent, a):
+    """Dict union-find root of a; every node on the path is relinked to it."""
+    root = a
+    while parent[root] != root:
+        root = parent[root]
+    while parent[a] != root:
+        parent[a], a = root, parent[a]
+    return root
+
+
 def _dict_euler(stages, walls=()):
     """The reference Euler count: E - V + C after each stage, from a dict
     union-find fed one unit edge (x, y, d) at a time; walls go first."""
     parent = {}
     V = E = C = 0
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
+    find = lambda a: _find(parent, a)
 
     def add_edges(edges):
         nonlocal V, E, C
@@ -222,6 +234,9 @@ def test_tree_check_rejects_t_and_y(variant):
     # one-parent-per-toothpick walk does not apply
     with pytest.raises(ValueError):
         analysis.tree_check(grow(variant, 8))
+    # nor are a T's bar or a Y's arms toothpicks for the quadrant count
+    with pytest.raises(ValueError, match="toothpick variants"):
+        analysis.quadrant_count_geometric(grow(variant, 16))
 
 
 def test_activation_walk_rejects_a_digraph_node_with_two_parents_or_none():
@@ -247,18 +262,114 @@ def test_activation_walk_rejects_a_digraph_node_with_two_parents_or_none():
 
 def test_activation_walk_rejects_a_toothpick_with_two_parents_or_none():
     s = grow("toothpick", 6)
-    segs = list(s.iter_segments())
-    mids = {(g.x, g.y) for g in segs}
+    placed = s.placements()
+    segs = s.segments()
+    mids = {(x, y) for _, _, x, y in segs}
     # Two verticals meeting end to end leave a point where a horizontal
     # would touch both of them at its midpoint.
     x, y = next(
-        (g.x, g.y - 1) for g in segs
-        if g.orient == "v" and (g.x, g.y - 2) in mids and (g.x, g.y - 1) not in mids
+        (x, y - 1) for _, o, x, y in segs
+        if o == "v" and (x, y - 2) in mids and (x, y - 1) not in mids
     )
-    for extra in (Segment(7, "h", x, y), Segment(3, "h", 40, 40)):
-        altered = SimpleNamespace(variant="toothpick", iter_segments=lambda e=extra: segs + [e])
+    horizontal = placed[3][placed[0] == 2][0]  # stage 2 is horizontal
+    for extra in ((7, x, y, horizontal), (3, 40, 40, horizontal)):
+        rows = tuple(np.append(a, v) for a, v in zip(placed, extra))
+        altered = SimpleNamespace(variant="toothpick", placements=lambda r=rows: r)
         assert analysis.tree_check(altered) is False
-    assert analysis.tree_check(SimpleNamespace(variant="toothpick", iter_segments=lambda: segs))
+    assert analysis.tree_check(SimpleNamespace(variant="toothpick", placements=lambda: placed))
+
+
+def test_induced_tree_check_rejects_a_cycle_or_a_second_component():
+    grid = CellGrid(uw_von_neumann(2)).grow(8)
+    assert analysis.tree_check(grid)
+    on = set(grid.on_cells())
+    # An OFF cell with two ON neighbors is one the rule refused; switching
+    # it on closes a cycle.
+    two = next(
+        (x, y)
+        for x in range(-10, 11)
+        for y in range(-10, 11)
+        if (x, y) not in on
+        and sum(q in on for q in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))) == 2
+    )
+    lone = (40, 40)  # no ON neighbor at all
+    # Both together give N - 1 neighbor pairs, yet two components.
+    for extra in ((two,), (lone,), (two, lone)):
+        for c in extra:
+            grid.states[c] = (ON, grid.stage + 1)
+        assert analysis.tree_check(grid) is False, extra
+        assert _dict_tree(grid) is False, extra
+        for c in extra:
+            del grid.states[c]
+
+
+def _union_find_tree(nodes, pairs) -> bool:
+    parent = {c: c for c in nodes}
+    for a, b in pairs:
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            return False  # cycle
+        parent[ra] = rb
+    return len({_find(parent, c) for c in nodes}) <= 1
+
+
+def _dict_tree(obj) -> bool:
+    """The reference tree check, a dict union-find over the nodes' joins.
+
+    A grid's ON cells are joined to every ON neighbor (Moore for the
+    moore8 rules, von Neumann otherwise); the directed toothpick grid's
+    cells (x + y even for a vertical) and the segment structures'
+    toothpicks past stage 1 are joined to their one strictly earlier
+    perpendicular neighbor, and a second one or none fails.
+    """
+    if isinstance(obj, CellGrid):
+        stage = {c: st for c, (s, st) in obj.states.items() if s == ON}
+        if obj.rule.name != "toothpick_digraph":
+            moore = ((1, 0), (0, 1), (1, 1), (1, -1))
+            dim = obj.dimension
+            axes = tuple(tuple(int(i == j) for i in range(dim)) for j in range(dim))
+            half = moore if obj.rule.name.startswith("moore8") else axes
+            pairs = [
+                (c, q) for c in stage for q in (tuple(map(sum, zip(c, h))) for h in half)
+                if q in stage
+            ]
+            return _union_find_tree(stage, pairs)
+        vertical = {c: (c[0] + c[1]) % 2 == 0 for c in stage}
+    else:
+        toothpicks = [(st, o, x, y) for st, o, x, y in obj.segments() if o in ("h", "v")]
+        stage = {(x, y): st for st, _, x, y in toothpicks}
+        vertical = {(x, y): o == "v" for _, o, x, y in toothpicks}
+    pairs = []
+    for (x, y), st in stage.items():
+        if st <= 1:
+            continue
+        nbrs = ((x - 1, y), (x + 1, y)) if vertical[x, y] else ((x, y - 1), (x, y + 1))
+        parents = [q for q in nbrs if stage.get(q, st) < st]
+        if len(parents) != 1:
+            return False
+        pairs.append((parents[0], (x, y)))
+    return _union_find_tree(stage, pairs)
+
+
+@pytest.mark.parametrize("variant", analysis.TREE_VARIANTS)
+def test_tree_check_matches_the_dict_union_find_on_structures(variant):
+    for n in (0, 1, 2, 3, 7, 64, 256):
+        s = grow(variant, n)
+        assert analysis.tree_check(s) is _dict_tree(s), n
+
+
+GRID_RULES = [uw_von_neumann(d) for d in (1, 2, 3, 4)] + [
+    RuleId(name) for name in RULE_NAMES if name != "uw_von_neumann"
+]
+
+
+@pytest.mark.parametrize("rule", GRID_RULES, ids=[f"{r.name}_d{r.dimension}" for r in GRID_RULES])
+def test_tree_check_matches_the_dict_union_find_on_grids(rule):
+    for n in (0, 1, 2, 5, 8, 20, 64):
+        if rule.dimension >= 3 and n > 12:
+            break
+        grid = CellGrid(rule).grow(n)
+        assert analysis.tree_check(grid) is _dict_tree(grid), n
 
 
 def test_quadrant_Q():

@@ -19,18 +19,18 @@ def brute_exposed(structure):
     """Exposed points recomputed from scratch from the drawn segments: ends
     of exactly one segment that are no segment's midpoint or Y center."""
     ends, mids = {}, set()
-    for s in structure.iter_segments():
-        if s.orient == "s":
-            tips = ((s.x, s.y), (s.x + 1, s.y))
-        elif s.orient == "v":
-            tips = ((s.x, s.y - 1), (s.x, s.y + 1))
-        elif s.orient == "h":
-            tips = ((s.x - 1, s.y), (s.x + 1, s.y))
+    for _, o, x, y in structure.segments():
+        if o == "s":
+            tips = ((x, y), (x + 1, y))
+        elif o == "v":
+            tips = ((x, y - 1), (x, y + 1))
+        elif o == "h":
+            tips = ((x - 1, y), (x + 1, y))
         else:
-            ax, ay = Y_ARMS[int(s.orient[1])]
-            tips = ((s.x + ax, s.y + ay),)
-        if s.orient != "s":
-            mids.add((s.x, s.y))
+            ax, ay = Y_ARMS[int(o[1])]
+            tips = ((x + ax, y + ay),)
+        if o != "s":
+            mids.add((x, y))
         for p in tips:
             ends[p] = ends.get(p, 0) + 1
     return {p for p, k in ends.items() if k == 1 and p not in mids}
@@ -86,7 +86,7 @@ def test_resumed_growth_matches_one_call(variant):
 
 @pytest.mark.parametrize("variant", engine.VARIANTS)
 def test_no_unit_segment_drawn_twice(variant):
-    drawn = [(g.orient, g.x, g.y) for g in grow(variant, 128).iter_segments()]
+    drawn = [(o, x, y) for _, o, x, y in grow(variant, 128).segments()]
     assert len(set(drawn)) == len(drawn)
 
 
@@ -107,11 +107,11 @@ def test_exposure_brute_force_t_and_y():
 def test_orientation_parity():
     for variant, odd in (("toothpick", "v"), ("corner", "v"), ("leftist", "h")):
         s = grow(variant, 33)
-        for seg in s.iter_segments():
-            if seg.orient == "s":
+        for stage, orient, x, y in s.segments():
+            if orient == "s":
                 continue
-            want = odd if seg.stage % 2 == 1 else ("h" if odd == "v" else "v")
-            assert seg.orient == want, (variant, seg)
+            want = odd if stage % 2 == 1 else ("h" if odd == "v" else "v")
+            assert orient == want, (variant, stage, x, y)
 
 
 def test_post_power_of_two_shape():
