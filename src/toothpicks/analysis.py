@@ -63,76 +63,73 @@ def _face_edges(structure):
     return edges
 
 
-def _edge_tuples(edges):
-    _, x, y, d = edges
-    return zip(x.tolist(), y.tolist(), d.tolist())
-
-
-# _TURN[d][mask]: arriving along direction d at a vertex whose outgoing
+# _TURN[d, mask]: arriving along direction d at a vertex whose outgoing
 # directions are the set bits of mask, leave by the first one clockwise
-# from the reversed d (at a dead end, the reversed d itself).
-_TURN = tuple(
-    tuple(
-        next(((d + 2 - t) % 4 for t in (1, 2, 3, 4) if mask >> ((d + 2 - t) % 4) & 1), None)
-        for mask in range(16)
-    )
+# from the reversed d (at a dead end, the reversed d itself; -1 where the
+# reversed d is missing, which no walk reaches).
+_TURN = np.array([
+    [next(((d + 2 - t) % 4 for t in (1, 2, 3, 4) if mask >> ((d + 2 - t) % 4) & 1), -1)
+     for mask in range(16)]
     for d in range(4)
-)
+])
 
 
 def extract_faces(edges):
-    """Trace every face of the arrangement of unit edges (x, y, d).
+    """Trace every face of the arrangement of unit edges (stage, x, y, d).
 
     Returns (bounded, unbounded_count) where bounded is a list of
-    (turns, min_x, min_y, max_x, max_y) per positive-area face.  The
-    walk keeps the face interior on the left: at each head vertex it
-    takes the first outgoing direction clockwise from the reversed
-    incoming one, so spikes (degree-1 vertices) are walked in and out
-    and show up as extra turns.
+    (turns, min_x, min_y, max_x, max_y, closing_stage) per positive-area
+    face; its closing stage is the latest stage among its edges, and an
+    edge given more than once exists from its first stage.  Each edge is
+    two half-edges, and a face is a cycle of the walk that keeps the face
+    interior on the left: at each head vertex it takes the first outgoing
+    direction clockwise from the reversed incoming one, so spikes
+    (degree-1 vertices) are walked in and out and show up as extra turns.
     """
-    steps, turn = _STEPS, _TURN
-    out = {}  # vertex -> bitmask of the directions of its edges
-    for x, y, d in edges:
-        out[x, y] = out.get((x, y), 0) | 1 << d
-        q = (x + steps[d][0], y + steps[d][1])
-        out[q] = out.get(q, 0) | 1 << (d ^ 2)
-    left = dict(out)  # the directed edges no walk has taken yet
-    bounded = []
-    unbounded = 0
-    for start in out:
-        while left[start]:
-            first_d = d = (left[start] & -left[start]).bit_length() - 1
-            p = start
-            x, y = p
-            area2 = turns = 0
-            mnx = mxx = x
-            mny = mxy = y
-            while True:
-                left[p] &= ~(1 << d)
-                dx, dy = steps[d]
-                nx, ny = x + dx, y + dy
-                area2 += x * ny - nx * y
-                x, y = nx, ny
-                if x < mnx:
-                    mnx = x
-                elif x > mxx:
-                    mxx = x
-                if y < mny:
-                    mny = y
-                elif y > mxy:
-                    mxy = y
-                p = (x, y)
-                nd = turn[d][out[p]]
-                if nd != d:
-                    turns += 1
-                d = nd
-                if d == first_d and p == start:
-                    break
-            if area2 > 0:
-                bounded.append((turns, mnx, mny, mxx, mxy))
-            else:
-                unbounded += 1
-    return bounded, unbounded
+    stage, x, y, d = (np.asarray(a, dtype=np.int64) for a in edges)
+    if not len(d):
+        return [], 0
+    steps = np.array(_STEPS)
+    hs = np.concatenate([stage, stage])
+    hx = np.concatenate([x, x + steps[d, 0]])
+    hy = np.concatenate([y, y + steps[d, 1]])
+    hd = np.concatenate([d, d ^ 2])
+    span = hy.max() - hy.min() + 1
+    key = ((hx - hx.min()) * span + hy - hy.min()) * 4 + hd
+    # One half-edge per key, at its first stage, sorted by key.
+    order = np.lexsort((hs, key))
+    order = order[_run_starts(key[order])]
+    key, hs, hx, hy, hd = key[order], hs[order], hx[order], hy[order], hd[order]
+    # A vertex's half-edges are one run of keys; its mask ORs their d.
+    vert = key >> 2
+    first = np.flatnonzero(_run_starts(vert))
+    mask = np.bitwise_or.reduceat(1 << hd, first)
+    head = vert + steps[hd, 0] * span + steps[hd, 1]  # the vertex each one reaches
+    nd = _TURN[hd, mask[np.searchsorted(vert[first], head)]]
+    nxt = np.searchsorted(key, head * 4 + nd)
+    # Label each cycle by its least half-edge: after k rounds a label is
+    # the least of the 2^k half-edges from it on.
+    label, jump = np.arange(len(key)), nxt
+    while not np.array_equal(label, label[nxt]):
+        label = np.minimum(label, label[jump])
+        jump = jump[jump]
+    by = np.argsort(label)
+    cut = np.flatnonzero(_run_starts(label[by]))
+    per_face = lambda ufunc, a: ufunc.reduceat(a[by], cut)
+    area2 = per_face(np.add, hx * steps[hd, 1] - steps[hd, 0] * hy)
+    faces = np.stack([
+        per_face(np.add, (nd != hd).astype(np.int64)),
+        per_face(np.minimum, hx), per_face(np.minimum, hy),
+        per_face(np.maximum, hx), per_face(np.maximum, hy),
+        per_face(np.maximum, hs),
+    ], axis=1)
+    bounded = area2 > 0
+    return list(map(tuple, faces[bounded].tolist())), int((~bounded).sum())
+
+
+def _run_starts(a):
+    """Whether each item of a sorted array starts a run of equal items."""
+    return np.concatenate([[True], a[1:] != a[:-1]])
 
 
 # Segment variants whose faces are read; the corner structure adds the
@@ -147,16 +144,16 @@ def _walked_edges(structure):
     return _face_edges(structure)
 
 
-def _rectangles(bounded) -> list[tuple[int, int, int, int]]:
-    """The walked bounded faces as rectangles; any other shape raises."""
-    rects = []
-    for turns, mnx, mny, mxx, mxy in bounded:
+def _rectangles(edges) -> list[tuple[int, ...]]:
+    """The walked bounded faces, each checked to be a rectangle (4 turns);
+    any other shape raises."""
+    bounded, _ = extract_faces(edges)
+    for turns, mnx, mny, mxx, mxy, _ in bounded:
         if turns != 4:
             raise NonRectangularFaceError(
                 f"bounded face with {turns} turns inside ({mnx},{mny})..({mxx},{mxy})"
             )
-        rects.append((mnx, mny, mxx, mxy))
-    return rects
+    return bounded
 
 
 def detect_rectangles(structure) -> RectangleReport:
@@ -165,8 +162,7 @@ def detect_rectangles(structure) -> RectangleReport:
     A bounded face with any shape other than a plain axis-aligned
     rectangle (4 turns, no spikes) raises NonRectangularFaceError.
     """
-    bounded, _ = extract_faces(_edge_tuples(_walked_edges(structure)))
-    rects = sorted(_rectangles(bounded))
+    rects = sorted(face[1:5] for face in _rectangles(_walked_edges(structure)))
     return RectangleReport(len(rects), tuple(rects))
 
 
@@ -186,8 +182,8 @@ def rectangles_by_stage(structure) -> list[int]:
 
 
 def _rectangles_by_stage(edges, last: int) -> list[int]:
-    rects = _rectangles(extract_faces(_edge_tuples(edges))[0])
-    closed = np.bincount(_closing_stages(rects, *edges) + 1, minlength=last + 2)
+    closing = np.array([face[5] for face in _rectangles(edges)], dtype=np.int64)
+    closed = np.bincount(closing + 1, minlength=last + 2)
     walked = closed.cumsum()[1:].tolist()  # a face of walls alone is no face
     euler = _euler_counts(edges, last)
     for n, (w, e) in enumerate(zip(walked, euler)):
@@ -196,40 +192,6 @@ def _rectangles_by_stage(edges, last: int) -> list[int]:
                 f"stage {n}: {w} walked faces closed by then, Euler count {e}"
             )
     return walked
-
-
-def _runs(starts, lengths):
-    """For each i, the lengths[i] integers from starts[i] up; concatenated."""
-    ends = lengths.cumsum()
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
-
-
-def _closing_stages(rects, stage, x, y, d):
-    """Per rectangle, the latest stage among the unit edges of its perimeter."""
-    x0, y0, x1, y1 = np.array(rects, dtype=np.int64).reshape(-1, 4).T
-    w, h = x1 - x0, y1 - y0
-    face = np.arange(len(x0))
-    qf = np.concatenate([np.repeat(face, w)] * 2 + [np.repeat(face, h)] * 2)
-    qx = np.concatenate([_runs(x0, w)] * 2 + [np.repeat(x0, h), np.repeat(x1, h)])
-    qy = np.concatenate([np.repeat(y0, w), np.repeat(y1, w)] + [_runs(y0, h)] * 2)
-    qd = np.repeat([0, 1], [2 * w.sum(), 2 * h.sum()])
-
-    mnx, mny = x.min(initial=0), y.min(initial=0)
-    span = y.max(initial=0) - mny + 2  # a vertical edge reaches max(y) + 1
-
-    def key(x, y, d):
-        return ((x - mnx) * span + (y - mny)) * 2 + d
-
-    keys = key(x, y, d)
-    order = np.lexsort((stage, keys))  # a repeated edge exists from its first stage
-    keys, stages = keys[order], stage[order]
-    q = key(qx, qy, qd)
-    at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-    if not np.array_equal(keys[at], q):
-        raise NonRectangularFaceError("a walked rectangle's perimeter is not made of edges")
-    closing = np.full(len(x0), -1)
-    np.maximum.at(closing, qf, stages[at])
-    return closing
 
 
 def rectangle_counts_by_stage(structure) -> list[int]:

@@ -241,7 +241,9 @@ class _Structure:
         return drawn
 
     def stage_segments(self, n: int) -> tuple[Segment, ...]:
-        """The unit segments (or Y arms) of stage n."""
+        """The unit segments (or Y arms) of stage n, for n in 0..stage."""
+        if not 0 <= n <= self.stage:
+            raise ValueError(f"stage {n} is outside 0..{self.stage}")
         x, y, d = self._placed[n]
         _, *xyk = self._drawn(_AS_SEGMENT, (np.full(len(d), n), x, y, d), n == 0)
         return tuple(Segment(n, _ORIENTS[k], x, y) for x, y, k in zip(*(a.tolist() for a in xyk)))

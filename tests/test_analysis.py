@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
@@ -169,8 +170,125 @@ def test_non_rectangular_face_is_an_error():
         (1, 1, 2),             # across the notch
         (0, 1, 3),             # down the left side
     ]
-    bounded, _ = analysis.extract_faces(edges)
+    bounded, _ = analysis.extract_faces(_staged([edges]))
     assert len(bounded) == 1 and bounded[0][0] == 6
+
+
+# Arriving along d, the directions clockwise from the reversed d (d + 2).
+CLOCKWISE_FROM_REVERSED = tuple(((d + 1) % 4, d, (d + 3) % 4, d ^ 2) for d in range(4))
+
+
+def _dict_faces(edges):
+    """The reference face walk over unit edges (x, y, d), one step at a
+    time through a dict of per-vertex direction bitmasks.
+
+    Returns (bounded, unbounded_count) with bounded a list of (turns,
+    min_x, min_y, max_x, max_y) per positive-area face.  The face
+    interior stays on the left: at each head vertex the walk leaves by
+    the first direction clockwise from the reversed incoming one.
+    """
+    out = {}  # vertex -> bitmask of the directions of its edges
+    for x, y, d in edges:
+        out[x, y] = out.get((x, y), 0) | 1 << d
+        q = (x + STEPS[d][0], y + STEPS[d][1])
+        out[q] = out.get(q, 0) | 1 << (d ^ 2)
+    left = dict(out)  # the directed edges no walk has taken yet
+    bounded = []
+    unbounded = 0
+    for start in out:
+        while left[start]:
+            first_d = d = (left[start] & -left[start]).bit_length() - 1
+            p = start
+            x, y = p
+            area2 = turns = 0
+            mnx = mxx = x
+            mny = mxy = y
+            while True:
+                left[p] &= ~(1 << d)
+                dx, dy = STEPS[d]
+                nx, ny = x + dx, y + dy
+                area2 += x * ny - nx * y
+                x, y = nx, ny
+                if x < mnx:
+                    mnx = x
+                elif x > mxx:
+                    mxx = x
+                if y < mny:
+                    mny = y
+                elif y > mxy:
+                    mxy = y
+                p = (x, y)
+                mask = out[p]
+                for nd in CLOCKWISE_FROM_REVERSED[d]:
+                    if mask >> nd & 1:
+                        break
+                if nd != d:
+                    turns += 1
+                d = nd
+                if d == first_d and p == start:
+                    break
+            if area2 > 0:
+                bounded.append((turns, mnx, mny, mxx, mxy))
+            else:
+                unbounded += 1
+    return bounded, unbounded
+
+
+def _assert_walk_matches_the_dict_walk(edges):
+    bounded, unbounded = analysis.extract_faces(edges)
+    want_bounded, want_unbounded = _dict_faces(zip(*(a.tolist() for a in edges[1:])))
+    assert sorted(face[:5] for face in bounded) == sorted(want_bounded)
+    assert unbounded == want_unbounded and type(unbounded) is int
+    assert type(bounded) is list and all(type(v) is int for face in bounded for v in face)
+    return bounded
+
+
+def _assert_closing_stages(edges, bounded):
+    """Each rectangle's closing stage is the latest of its perimeter edges'
+    first stages, read from a dict of the edges (x, y, d) with d E or N."""
+    least = {}
+    for st, x, y, d in zip(*(a.tolist() for a in edges)):
+        if d >= 2:  # the same edge, from its other end
+            x, y, d = x + STEPS[d][0], y + STEPS[d][1], d - 2
+        least[x, y, d] = min(st, least.get((x, y, d), st))
+    for turns, x0, y0, x1, y1, closing in bounded:
+        if turns != 4:
+            continue
+        perimeter = [(x, y, 0) for x in range(x0, x1) for y in (y0, y1)]
+        perimeter += [(x, y, 1) for x in (x0, x1) for y in range(y0, y1)]
+        assert closing == max(least[e] for e in perimeter), (x0, y0, x1, y1)
+
+
+@pytest.mark.parametrize("variant", ["toothpick", "corner"])
+def test_face_walk_matches_the_dict_walk(variant):
+    s = new_structure(variant)
+    for n in range(65):
+        edges = analysis._face_edges(s.grow(min(n, 1)))
+        _assert_closing_stages(edges, _assert_walk_matches_the_dict_walk(edges))
+    edges = analysis._face_edges(grow(variant, 256))
+    _assert_closing_stages(edges, analysis.extract_faces(edges)[0])
+    _assert_walk_matches_the_dict_walk(analysis._face_edges(grow(variant, 512)))
+
+
+def test_face_walk_matches_the_dict_walk_on_random_edge_sets():
+    assert analysis.extract_faces(_staged([])) == ([], 0)
+    rng = random.Random(20)
+    for _ in range(300):
+        w = rng.randrange(1, 7)
+        rows = [
+            (rng.randrange(4), rng.randrange(-w, w), rng.randrange(-w, w), rng.randrange(4))
+            for _ in range(rng.randrange(1, 50))
+        ]
+        # Repeated edges at other stages, some given from their other end.
+        rows += [(rng.randrange(4), x, y, d) for _, x, y, d in rng.choices(rows, k=3)]
+        rows += [
+            (rng.randrange(4), x + STEPS[d][0], y + STEPS[d][1], d ^ 2)
+            for _, x, y, d in rng.choices(rows, k=3)
+        ]
+        # A spike: an edge out of the box, with a free far end.
+        rows.append((rng.randrange(4), w, rng.randrange(-w, w), 0))
+        edges = tuple(np.array(rows, dtype=np.int64).T)
+        _assert_closing_stages(edges, _assert_walk_matches_the_dict_walk(edges))
 
 
 def test_ratio_bound():

@@ -193,6 +193,14 @@ def test_stage_segments_orientation():
         assert len(s.stage_segments(3)) == 3 * s.counts[3]
 
 
+def test_stage_segments_outside_the_grown_stages_is_an_error():
+    s = grow("toothpick", 3)
+    assert [len(s.stage_segments(n)) for n in range(4)] == s.counts == [0, 1, 2, 4]
+    for n in (-1, -4, 4):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            s.stage_segments(n)
+
+
 def test_dump_round_trip_fields():
     s = grow("corner", 5)
     lines = s.dump().splitlines()
