@@ -13,7 +13,7 @@ import numpy as np
 from . import recurrences as rec
 from .engine import _STEPS  # unit steps E N W S, which a unit edge's d indexes
 from .engine import _V  # the direction of a vertical toothpick
-from .gridca import ON, CellGrid, _neighborhood
+from .gridca import CellGrid, _neighborhood
 
 
 class NonRectangularFaceError(AssertionError):
@@ -417,9 +417,8 @@ def tree_check(obj) -> bool:
     lives in the activation edges.
     """
     if isinstance(obj, CellGrid):
-        on = {c: st for c, (s, st) in obj.states.items() if s == ON}  # Maltese keeps DEAD cells
-        coords = np.array(list(on), dtype=np.int64).reshape(-1, obj.dimension)
-        stage = np.fromiter(on.values(), dtype=np.int64, count=len(on))
+        stage, coords, is_on = obj.cells()
+        stage, coords = stage[is_on], coords[is_on]  # Maltese keeps DEAD cells
         if obj.rule.name != "toothpick_digraph":
             return _is_tree(coords, stage, np.array(_neighborhood(obj.rule)), induced=True)
         vertical = coords.sum(axis=1) % 2 == 0  # a digraph cell with x + y even

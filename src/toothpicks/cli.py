@@ -102,7 +102,11 @@ def _grow(variant: str, stages: int):
 
 
 def _cmd_simulate(args) -> int:
-    grown = _grow(args.variant, args.stages)
+    try:
+        grown = _grow(args.variant, args.stages)
+    except ValueError as exc:  # a cell grid past its box budget
+        print(f"simulate: {exc}", file=sys.stderr)
+        return 2
     print(" ".join(map(str, grown.counts)))
     if args.dump:
         with open(args.dump, "w") as fh:
@@ -217,9 +221,8 @@ def _cmd_analyze(args) -> int:
         print(f"bounded faces after {args.nmax} stages: {rep.count}, all rectangles")
         return 0
     if args.check == "tree":
-        grown = _grow(variant, args.nmax)
         try:
-            ok = analysis.tree_check(grown)
+            ok = analysis.tree_check(_grow(variant, args.nmax))
         except ValueError as exc:
             print(f"analyze: {exc}", file=sys.stderr)
             return 2

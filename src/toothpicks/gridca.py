@@ -2,11 +2,13 @@
 variants, the one-or-four rule, the directed-graph encoding of the
 toothpick structure, and the three-state Maltese-cross automaton.
 
-Once ON or DEAD a cell never changes.  Each counting rule (all but the
-Maltese cross) is a row of data for one numpy frontier stepper, which
+Once ON or DEAD a cell never changes.  Every rule, the Maltese cross
+included, is a row of data for one numpy frontier stepper, which
 examines only the unset neighbors of the previous stage's cells.  `run`
 folds the symmetric rules (von Neumann, Moore, one-or-four) to one cell
 per orbit and counts orbit sizes; the rest, and `CellGrid`, use a box.
+A `CellGrid` keeps each stage's new cells as arrays, read through
+`cells()`.
 """
 
 from dataclasses import dataclass
@@ -61,13 +63,13 @@ def _vn_dirs(d: int):
 MOORE_DIRS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0))
 
 
-def _digraph_eligible(on, cells):
+def _digraph_eligible(codes, cells, stage):
     # Even cells (x+y even) stand for vertical toothpicks and are fed by
     # their horizontal neighbors; odd cells by their vertical neighbors.
     # With the von Neumann offsets, columns 0-1 are the horizontal
     # neighbors and 2-3 the vertical ones.
     even = (cells[:, 0] + cells[:, 1]) % 2 == 0
-    return np.where(even, on[:, 0] + on[:, 1], on[:, 2] + on[:, 3]) == 1
+    return np.where(even, codes[:, 0] + codes[:, 1], codes[:, 2] + codes[:, 3]) == 1
 
 
 def _corner_blocked(cells):
@@ -77,26 +79,51 @@ def _corner_blocked(cells):
     return (cells[:, 0] <= 0) & (cells[:, 1] <= 1)
 
 
+# A cell's two outer corners, away from an ON neighbor at each von
+# Neumann offset (E, W, N, S), relative to its lower-left corner: cell
+# (i, j) is the unit square with corners (i, j)..(i + 1, j + 1).
+_OUTER = np.array([((0, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 1))])
+
+
+def _maltese_eligible(codes, cells, stage):
+    # One ON neighbor, no outer corner shared with another such cell, and
+    # no dooming DEAD neighbor.  A DEAD neighbor dooms, except that in
+    # stages n = 2 (mod 3) only one declared DEAD before the previous
+    # stage (code 2, not 3) does.  (Taking the exception at face value --
+    # previous stage only -- contradicts the construction oracle as early
+    # as stage 5; this reading tracks it.  See verify reports.)
+    on = codes == 1
+    ok = on.sum(axis=1) == 1
+    corners = cells[ok][:, None, :] + _OUTER[on[ok].argmax(axis=1)]
+    _, inverse, users = np.unique(corners @ (1 << 32, 1), return_inverse=True, return_counts=True)
+    ok[ok] = (users[inverse.reshape(-1, 2)] == 1).all(axis=1)
+    return ok & ~((codes == 2) | (codes == 3) & (stage % 3 != 2)).any(axis=1)
+
+
 def _neighborhood(rule: RuleId):
     """A rule's neighbor offsets: Moore for moore8*, else von Neumann."""
     return MOORE_DIRS if rule.name.startswith("moore8") else _vn_dirs(rule.dimension)
 
 
 def _counting(rule: RuleId):
-    """(offsets, eligible, blocked or None, seed, symmetric) of a counting rule.
+    """(offsets, eligible, blocked or None, seed, symmetric, mortal) of a rule.
 
-    `eligible` takes the candidates' ON mask (a column per offset) and the
-    candidates; a symmetric rule is invariant under signed axis permutations.
+    `eligible` takes the candidates' cell codes (a column per offset), the
+    candidates and the stage; a symmetric rule is invariant under signed
+    axis permutations, and a mortal rule kills the candidates it refuses.
     """
     origin = (0,) * rule.dimension
-    one = lambda on, cells: on.sum(axis=1) == 1
+    # Only a mortal rule sets a code past 1, so the others sum ON neighbors.
+    one = lambda codes, cells, stage: codes.sum(axis=1) == 1
     return (_neighborhood(rule),) + {
-        "uw_von_neumann": (one, None, origin, True),
-        "moore8": (one, None, origin, True),
-        "moore8_corner1": (one, _corner_blocked, origin, False),
-        "moore8_corner2": (one, _corner_blocked, (0, 1), False),
-        "rule942": (lambda on, cells: np.isin(on.sum(axis=1), (1, 4)), None, origin, True),
-        "toothpick_digraph": (_digraph_eligible, None, origin, False),
+        "uw_von_neumann": (one, None, origin, True, False),
+        "moore8": (one, None, origin, True, False),
+        "moore8_corner1": (one, _corner_blocked, origin, False, False),
+        "moore8_corner2": (one, _corner_blocked, (0, 1), False, False),
+        "rule942": (lambda codes, cells, stage: np.isin(codes.sum(axis=1), (1, 4)),
+                    None, origin, True, False),
+        "toothpick_digraph": (_digraph_eligible, None, origin, False, False),
+        "maltese": (_maltese_eligible, None, origin, False, True),
     }[rule.name]
 
 
@@ -121,9 +148,14 @@ def _orbit_cells(c) -> int:
     return int((perms << (c > 0).sum(axis=1)).sum())
 
 
+# The largest array, in bytes, that `_Frontier.reserve` will allocate.
+BOX_BUDGET = 2 << 30
+
+
 class _Frontier:
-    """One counting rule's ON set, grown a stage at a time, in a flat
-    uint8 bitmap that `reserve(n)` must size for every stage n stepped.
+    """One rule's cells, grown a stage at a time, as one uint8 code per
+    cell in a flat array that `reserve(n)` must size for every stage n
+    stepped: 1 for ON, 2 for DEAD, 3 for DEAD since the last stage.
 
     Folded, a cell is kept as its sorted |x|, stands for its whole orbit
     and sits at its multiset rank; otherwise it sits at its place in a
@@ -131,11 +163,12 @@ class _Frontier:
     """
 
     def __init__(self, rule: RuleId, fold: bool):
-        offsets, self.eligible, self.blocked, self.seed, symmetric = _counting(rule)
+        offsets, self.eligible, self.blocked, self.seed, symmetric, self.mortal = _counting(rule)
         self.offsets = np.array(offsets, dtype=np.int64)
         self.fold = fold and symmetric
         self.dim = rule.dimension
-        self.wave = None
+        self.stage = 0
+        self.dead = np.empty((0, self.dim), dtype=np.int64)  # set by the last step
         self.half, self.on = 0, np.zeros(1, dtype=np.uint8)  # the origin alone
 
     def reserve(self, n: int) -> None:
@@ -145,8 +178,12 @@ class _Frontier:
         half = n + 2
         if half <= self.half:
             return
+        size = comb(half + self.dim, self.dim) if self.fold else (2 * half + 1) ** self.dim
+        if size > BOX_BUDGET:
+            raise ValueError(f"{n} stages in dimension {self.dim} need a {size / 2**30:.1f} GiB "
+                             f"box, past the {BOX_BUDGET >> 30} GiB budget")
         if self.fold:
-            on = np.zeros(comb(half + self.dim, self.dim), dtype=np.uint8)
+            on = np.zeros(size, dtype=np.uint8)
             on[: self.on.size] = self.on  # a rank does not depend on the bound
         else:
             on = np.zeros((2 * half + 1,) * self.dim, dtype=np.uint8)
@@ -164,8 +201,10 @@ class _Frontier:
         return _multiset_rank(cells) if self.fold else (cells + self.half) @ self.strides
 
     def step(self) -> np.ndarray:
-        """Set the next stage's cells and return them, one per orbit if folded."""
-        if self.wave is None:
+        """Set the next stage's cells and return its ON ones, one per orbit
+        if folded; a mortal rule leaves its new DEAD ones in `dead`."""
+        self.stage += 1
+        if self.stage == 1:
             new = np.array([self.seed], dtype=np.int64)
         else:
             nbrs = self._around(self.wave)
@@ -173,8 +212,13 @@ class _Frontier:
             cand = nbrs[first[self.on[keys] == 0]]
             if self.blocked is not None:
                 cand = cand[~self.blocked(cand)]
-            on = self.on[self._key(self._around(cand))].reshape(len(cand), -1)
-            new = cand[self.eligible(on, cand)]
+            codes = self.on[self._key(self._around(cand))].reshape(len(cand), -1)
+            ok = self.eligible(codes, cand, self.stage)
+            new = cand[ok]
+            if self.mortal:
+                self.on[self._key(self.dead)] = 2
+                self.dead = cand[~ok]
+                self.on[self._key(self.dead)] = 3
         self.on[self._key(new)] = 1
         self.wave = new
         return new
@@ -189,135 +233,56 @@ class CellGrid:
         self.dimension = rule.dimension
         self.stage = 0
         self.counts = [0]
-        self.states: dict[tuple, tuple[str, int]] = {}
-        if rule.name == "maltese":
-            self._frontier = None
-            self._on: set[tuple] = set()
-            self._last_on: list[tuple] = []
-            self._step = self._step_maltese
-        else:
-            self._frontier = _Frontier(rule, fold=False)
-            self._step = self._step_frontier
+        self._frontier = _Frontier(rule, fold=False)
+        self._placed = [(self._frontier.dead,) * 2]  # (ON, DEAD) cells per stage, none at 0
 
     def grow(self, stages: int) -> "CellGrid":
         if stages < 0:
             raise ValueError("n must be >= 0")
-        if self._frontier is not None:
-            self._frontier.reserve(self.stage + stages)
+        self._frontier.reserve(self.stage + stages)
         for _ in range(stages):
+            new = self._frontier.step()
+            self._placed.append((new, self._frontier.dead))
+            self.counts.append(len(new))
             self.stage += 1
-            self.counts.append(self._step())
         return self
 
     def added_per_stage(self) -> IntSequence:
         return IntSequence(0, tuple(self.counts), self.rule.name, "simulate")
 
+    def cells(self) -> tuple[np.ndarray, ...]:
+        """Every non-OFF cell, stage-major, as arrays (stage, coords, is_on)."""
+        parts = [cells for placed in self._placed for cells in placed]
+        sizes = [len(cells) for cells in parts]
+        return (np.repeat(np.arange(len(parts)) >> 1, sizes), np.concatenate(parts),
+                np.repeat(np.arange(len(parts)) % 2 == 0, sizes))
+
     def on_cells(self) -> list[tuple]:
-        return [c for c, (s, _) in self.states.items() if s == ON]
+        _, coords, is_on = self.cells()
+        return list(map(tuple, coords[is_on].tolist()))
 
     def dead_cells(self) -> list[tuple]:
-        return [c for c, (s, _) in self.states.items() if s == DEAD]
+        _, coords, is_on = self.cells()
+        return list(map(tuple, coords[~is_on].tolist()))
 
     def dump(self) -> str:
         """One line per non-OFF cell, `state stage x y [z [w]]`, sorted."""
-        rows = sorted((c, s, st) for c, (s, st) in self.states.items())
-        return "".join(f"{s} {st} {' '.join(map(str, c))}\n" for c, s, st in rows)
-
-    def _step_frontier(self) -> int:
-        new = self._frontier.step().tolist()
-        self.states.update(dict.fromkeys(map(tuple, new), (ON, self.stage)))
-        return len(new)
-
-    # -- Maltese cross (three states) --------------------------------------
-
-    def _step_maltese(self) -> int:
-        n = self.stage
-        states = self.states
-        on = self._on
-        if n == 1:
-            states[(0, 0)] = (ON, 1)
-            on.add((0, 0))
-            self._last_on = [(0, 0)]
-            return 1
-        edge = ((1, 0), (-1, 0), (0, 1), (0, -1))
-        candidates = set()
-        for c in self._last_on:
-            for d in edge:
-                q = (c[0] + d[0], c[1] + d[1])
-                if q not in states:
-                    candidates.add(q)
-        dead_now = []
-        survivors = {}  # candidate -> its single ON parent
-        for q in candidates:
-            on_nbrs = [
-                (q[0] + d[0], q[1] + d[1])
-                for d in edge
-                if (q[0] + d[0], q[1] + d[1]) in on
-            ]
-            if len(on_nbrs) >= 2:
-                dead_now.append(q)
-            else:
-                survivors[q] = on_nbrs[0]
-        # Shared outer vertex between two same-stage candidates kills both.
-        # Cell (i, j) is the unit square with corners (i, j)..(i+1, j+1);
-        # the outer vertices are the two corners away from the parent edge.
-        vertex_users: dict[tuple, list] = {}
-        for q, parent in survivors.items():
-            dx, dy = q[0] - parent[0], q[1] - parent[1]
-            if dx:  # vertical shared edge; outer corners on the far side
-                ox = q[0] + (1 if dx > 0 else 0)
-                corners = ((ox, q[1]), (ox, q[1] + 1))
-            else:
-                oy = q[1] + (1 if dy > 0 else 0)
-                corners = ((q[0], oy), (q[0] + 1, oy))
-            for v in corners:
-                vertex_users.setdefault(v, []).append(q)
-        vertex_dead = set()
-        for users in vertex_users.values():
-            if len(users) >= 2:
-                vertex_dead.update(users)
-        dead_now.extend(vertex_dead)
-        # Adjacency to an established DEAD cell kills, except that in
-        # stages n = 2 (mod 3) only a neighbor declared DEAD before the
-        # previous stage does.  (Taking the exception at face value --
-        # previous stage only -- contradicts the construction oracle as
-        # early as stage 5; this reading tracks it.  See verify reports.)
-        newly = []
-        for q in survivors:
-            if q in vertex_dead:
-                continue
-            doom = False
-            for d in edge:
-                r = (q[0] + d[0], q[1] + d[1])
-                st = states.get(r)
-                if st is not None and st[0] == DEAD:
-                    if n % 3 != 2 or st[1] <= n - 2:
-                        doom = True
-                        break
-            if doom:
-                dead_now.append(q)
-            else:
-                newly.append(q)
-        for q in dead_now:
-            states[q] = (DEAD, n)
-        for q in newly:
-            states[q] = (ON, n)
-        on.update(newly)
-        self._last_on = newly
-        return len(newly)
+        stage, coords, is_on = self.cells()
+        order = np.lexsort(coords.T[::-1])
+        rows = zip(np.where(is_on, ON, DEAD)[order], stage[order].tolist(), coords[order].tolist())
+        return "".join(f"{s} {st} {' '.join(map(str, c))}\n" for s, st, c in rows)
 
 
 def activation_map(grid: CellGrid) -> dict[tuple, int]:
     """Stage at which each non-OFF cell was set; absent cells never changed."""
-    return {c: st for c, (_, st) in grid.states.items()}
+    stage, coords, _ = grid.cells()
+    return dict(zip(map(tuple, coords.tolist()), stage.tolist()))
 
 
 def run(rule: RuleId, n: int) -> IntSequence:
     """Per-stage activation counts a(0..n) for a rule, a(1) = 1 seed."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if rule.name == "maltese":
-        return CellGrid(rule).grow(n).added_per_stage()
     frontier = _Frontier(rule, fold=True)
     frontier.reserve(n)
     size = _orbit_cells if frontier.fold else len

@@ -7,8 +7,10 @@ and there are no timestamps or random ids.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import EXTENTS, Y_ARMS, bounding_box
-from .gridca import DEAD, ON, CellGrid
+from .gridca import CellGrid
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
@@ -152,14 +154,10 @@ def render_grid(grid: CellGrid, cfg: RenderConfig = RenderConfig()) -> str:
     """
     if grid.dimension != 2:
         raise ValueError("only two-dimensional grids can be rendered")
-    cells = sorted((c, s, st) for c, (s, st) in grid.states.items())
-    if cells:
-        mnx = min(c[0][0] for c in cells)
-        mxx = max(c[0][0] for c in cells)
-        mny = min(c[0][1] for c in cells)
-        mxy = max(c[0][1] for c in cells)
-    else:
-        mnx = mny = mxx = mxy = 0
+    stage, coords, is_on = grid.cells()
+    order = np.lexsort(coords.T[::-1])
+    box = (coords.min(axis=0), coords.max(axis=0)) if len(coords) else ((0, 0),) * 2
+    (mnx, mny), (mxx, mxy) = np.array(box).tolist()
     px = cfg.scale
     pad = cfg.scale
 
@@ -167,15 +165,15 @@ def render_grid(grid: CellGrid, cfg: RenderConfig = RenderConfig()) -> str:
         return (cx - mnx) * px + pad, (mxy - cy) * px + pad
 
     body = []
-    for (cx, cy), state, stage in cells:
+    for (cx, cy), on, st in zip(coords[order].tolist(), is_on[order].tolist(), stage[order].tolist()):
         x, y = corner(cx, cy)
-        if state == ON:
-            cls = _class_for(cfg, stage)
+        if on:
+            cls = _class_for(cfg, st)
             body.append(
                 f'<rect class="{cls}" x="{_fmt(x)}" y="{_fmt(y)}" '
                 f'width="{_fmt(px)}" height="{_fmt(px)}"/>'
             )
-        elif state == DEAD:
+        else:
             body.append(
                 f'<path class="dead" d="M {_fmt(x)} {_fmt(y)} l {_fmt(px)} {_fmt(px)} '
                 f'M {_fmt(x + px)} {_fmt(y)} l {_fmt(-px)} {_fmt(px)}"/>'

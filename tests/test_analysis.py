@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -12,7 +13,6 @@ from toothpicks.engine import UNIT_EDGES, bounding_box, grow, new_structure
 from toothpicks.gridca import (
     MALTESE,
     MOORE8,
-    ON,
     RULE_NAMES,
     TOOTHPICK_DIGRAPH,
     CellGrid,
@@ -357,6 +357,13 @@ def test_tree_check_rejects_t_and_y(variant):
         analysis.quadrant_count_geometric(grow(variant, 16))
 
 
+def _with_stage(grid, cells):
+    """A copy of a 2-D `grid` with `cells` switched ON as one more grown stage."""
+    altered = copy.copy(grid)
+    altered._placed = grid._placed + [(np.array(cells), np.empty((0, 2), dtype=np.int64))]
+    return altered
+
+
 def test_activation_walk_rejects_a_digraph_node_with_two_parents_or_none():
     grid = CellGrid(TOOTHPICK_DIGRAPH).grow(6)
     assert analysis.tree_check(grid)
@@ -371,11 +378,8 @@ def test_activation_walk_rejects_a_digraph_node_with_two_parents_or_none():
         and all(q in on for q in (((x - 1, y), (x + 1, y)) if (x + y) % 2 == 0
                                   else ((x, y - 1), (x, y + 1))))
     )
-    grid.states[two] = (ON, grid.stage + 1)
-    assert analysis.tree_check(grid) is False
-    del grid.states[two]
-    grid.states[(20, 20)] = (ON, 3)  # no ON neighbor at all
-    assert analysis.tree_check(grid) is False
+    assert analysis.tree_check(_with_stage(grid, [two])) is False
+    assert analysis.tree_check(_with_stage(grid, [(20, 20)])) is False  # no ON neighbor at all
 
 
 def test_activation_walk_rejects_a_toothpick_with_two_parents_or_none():
@@ -413,12 +417,9 @@ def test_induced_tree_check_rejects_a_cycle_or_a_second_component():
     lone = (40, 40)  # no ON neighbor at all
     # Both together give N - 1 neighbor pairs, yet two components.
     for extra in ((two,), (lone,), (two, lone)):
-        for c in extra:
-            grid.states[c] = (ON, grid.stage + 1)
-        assert analysis.tree_check(grid) is False, extra
-        assert _dict_tree(grid) is False, extra
-        for c in extra:
-            del grid.states[c]
+        altered = _with_stage(grid, extra)
+        assert analysis.tree_check(altered) is False, extra
+        assert _dict_tree(altered) is False, extra
 
 
 def _union_find_tree(nodes, pairs) -> bool:
@@ -441,7 +442,8 @@ def _dict_tree(obj) -> bool:
     perpendicular neighbor, and a second one or none fails.
     """
     if isinstance(obj, CellGrid):
-        stage = {c: st for c, (s, st) in obj.states.items() if s == ON}
+        st, coords, is_on = obj.cells()
+        stage = dict(zip(map(tuple, coords[is_on].tolist()), st[is_on].tolist()))
         if obj.rule.name != "toothpick_digraph":
             moore = ((1, 0), (0, 1), (1, 1), (1, -1))
             dim = obj.dimension

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from toothpicks import engine, gridca
@@ -147,6 +148,24 @@ def test_simulate_grid(capsys):
     code, out, _ = run(capsys, "simulate", "--variant", "uw", "--stages", "8")
     assert code == 0
     assert out.strip() == "0 1 4 4 12 4 12 12 36"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--variant", "uw4", "--stages", "128"],
+    ["analyze", "--check", "tree", "--variant", "uw4", "--nmax", "128"],
+], ids=["simulate", "analyze-tree"])
+def test_a_grid_past_the_box_budget_exits_two_before_allocating(capsys, monkeypatch, argv):
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) < 1 << 20, f"allocated a box of shape {shape}"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(gridca.np, "zeros", small_zeros)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "GiB budget" in err
 
 
 def test_render_writes_svg(tmp_path, capsys):

@@ -91,6 +91,7 @@ def test_three_dimensional_grid_rejected():
         ("moore8_corner2_n8.dump", lambda: CellGrid(MOORE8_CORNER2).grow(8).dump()),
         ("rule942_n8.dump", lambda: CellGrid(RULE942).grow(8).dump()),
         ("toothpick_digraph_n8.dump", lambda: CellGrid(TOOTHPICK_DIGRAPH).grow(8).dump()),
+        ("maltese_n8.dump", lambda: CellGrid(MALTESE).grow(8).dump()),
     ],
 )
 def test_golden_files(name, make):
