@@ -77,18 +77,19 @@ _TURN = np.array([
 def extract_faces(edges):
     """Trace every face of the arrangement of unit edges (stage, x, y, d).
 
-    Returns (bounded, unbounded_count) where bounded is a list of
-    (turns, min_x, min_y, max_x, max_y, closing_stage) per positive-area
-    face; its closing stage is the latest stage among its edges, and an
-    edge given more than once exists from its first stage.  Each edge is
-    two half-edges, and a face is a cycle of the walk that keeps the face
-    interior on the left: at each head vertex it takes the first outgoing
-    direction clockwise from the reversed incoming one, so spikes
-    (degree-1 vertices) are walked in and out and show up as extra turns.
+    Returns (bounded, unbounded_count) where bounded is an (F, 6) int64
+    array, a row (turns, min_x, min_y, max_x, max_y, closing_stage) per
+    positive-area face; its closing stage is the latest stage among its
+    edges, and an edge given more than once exists from its first stage.
+    Each edge is two half-edges, and a face is a cycle of the walk that
+    keeps the face interior on the left: at each head vertex it takes the
+    first outgoing direction clockwise from the reversed incoming one, so
+    spikes (degree-1 vertices) are walked in and out and show up as extra
+    turns.
     """
     stage, x, y, d = (np.asarray(a, dtype=np.int64) for a in edges)
     if not len(d):
-        return [], 0
+        return np.empty((0, 6), dtype=np.int64), 0
     steps = np.array(_STEPS)
     hs = np.concatenate([stage, stage])
     hx = np.concatenate([x, x + steps[d, 0]])
@@ -124,7 +125,7 @@ def extract_faces(edges):
         per_face(np.maximum, hs),
     ], axis=1)
     bounded = area2 > 0
-    return list(map(tuple, faces[bounded].tolist())), int((~bounded).sum())
+    return faces[bounded], int((~bounded).sum())
 
 
 def _run_starts(a):
@@ -144,15 +145,16 @@ def _walked_edges(structure):
     return _face_edges(structure)
 
 
-def _rectangles(edges) -> list[tuple[int, ...]]:
+def _rectangles(edges) -> np.ndarray:
     """The walked bounded faces, each checked to be a rectangle (4 turns);
     any other shape raises."""
     bounded, _ = extract_faces(edges)
-    for turns, mnx, mny, mxx, mxy, _ in bounded:
-        if turns != 4:
-            raise NonRectangularFaceError(
-                f"bounded face with {turns} turns inside ({mnx},{mny})..({mxx},{mxy})"
-            )
+    bad = bounded[bounded[:, 0] != 4]
+    if len(bad):
+        turns, mnx, mny, mxx, mxy, _ = bad[0].tolist()
+        raise NonRectangularFaceError(
+            f"bounded face with {turns} turns inside ({mnx},{mny})..({mxx},{mxy})"
+        )
     return bounded
 
 
@@ -162,7 +164,7 @@ def detect_rectangles(structure) -> RectangleReport:
     A bounded face with any shape other than a plain axis-aligned
     rectangle (4 turns, no spikes) raises NonRectangularFaceError.
     """
-    rects = sorted(face[1:5] for face in _rectangles(_walked_edges(structure)))
+    rects = sorted(map(tuple, _rectangles(_walked_edges(structure))[:, 1:5].tolist()))
     return RectangleReport(len(rects), tuple(rects))
 
 
@@ -182,8 +184,7 @@ def rectangles_by_stage(structure) -> list[int]:
 
 
 def _rectangles_by_stage(edges, last: int) -> list[int]:
-    closing = np.array([face[5] for face in _rectangles(edges)], dtype=np.int64)
-    closed = np.bincount(closing + 1, minlength=last + 2)
+    closed = np.bincount(_rectangles(edges)[:, 5] + 1, minlength=last + 2)
     walked = closed.cumsum()[1:].tolist()  # a face of walls alone is no face
     euler = _euler_counts(edges, last)
     for n, (w, e) in enumerate(zip(walked, euler)):

@@ -102,11 +102,7 @@ def _grow(variant: str, stages: int):
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        grown = _grow(args.variant, args.stages)
-    except ValueError as exc:  # a cell grid past its box budget
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 2
+    grown = _grow(args.variant, args.stages)
     print(" ".join(map(str, grown.counts)))
     if args.dump:
         with open(args.dump, "w") as fh:
@@ -221,11 +217,7 @@ def _cmd_analyze(args) -> int:
         print(f"bounded faces after {args.nmax} stages: {rep.count}, all rectangles")
         return 0
     if args.check == "tree":
-        try:
-            ok = analysis.tree_check(_grow(variant, args.nmax))
-        except ValueError as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
-            return 2
+        ok = analysis.tree_check(_grow(variant, args.nmax))
         print(f"{variant} at n={args.nmax}: {'tree' if ok else 'NOT a tree'}")
         return 0
     raise AssertionError(args.check)
@@ -244,7 +236,11 @@ def main(argv=None) -> int:
         "render": _cmd_render,
         "analyze": _cmd_analyze,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:  # bad input, e.g. a cell grid past its box budget
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

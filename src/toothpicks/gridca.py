@@ -87,17 +87,17 @@ _OUTER = np.array([((0, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 0), (1, 0)), ((0, 1)
 
 def _maltese_eligible(codes, cells, stage):
     # One ON neighbor, no outer corner shared with another such cell, and
-    # no dooming DEAD neighbor.  A DEAD neighbor dooms, except that in
-    # stages n = 2 (mod 3) only one declared DEAD before the previous
-    # stage (code 2, not 3) does.  (Taking the exception at face value --
-    # previous stage only -- contradicts the construction oracle as early
-    # as stage 5; this reading tracks it.  See verify reports.)
+    # no DEAD neighbor, except in stages n = 2 (mod 3), where a DEAD
+    # neighbor does not doom.  (Sparing in those stages only the cells
+    # declared DEAD in the stage before grows the same cells to n = 2000.
+    # With no exception the rule leaves the construction oracle as early
+    # as stage 5; this reading tracks it to stage 17.  See verify reports.)
     on = codes == 1
     ok = on.sum(axis=1) == 1
     corners = cells[ok][:, None, :] + _OUTER[on[ok].argmax(axis=1)]
     _, inverse, users = np.unique(corners @ (1 << 32, 1), return_inverse=True, return_counts=True)
     ok[ok] = (users[inverse.reshape(-1, 2)] == 1).all(axis=1)
-    return ok & ~((codes == 2) | (codes == 3) & (stage % 3 != 2)).any(axis=1)
+    return ok if stage % 3 == 2 else ok & ~(codes == 2).any(axis=1)
 
 
 def _neighborhood(rule: RuleId):
@@ -155,7 +155,7 @@ BOX_BUDGET = 2 << 30
 class _Frontier:
     """One rule's cells, grown a stage at a time, as one uint8 code per
     cell in a flat array that `reserve(n)` must size for every stage n
-    stepped: 1 for ON, 2 for DEAD, 3 for DEAD since the last stage.
+    stepped: 1 for ON, 2 for DEAD.
 
     Folded, a cell is kept as its sorted |x|, stands for its whole orbit
     and sits at its multiset rank; otherwise it sits at its place in a
@@ -216,9 +216,8 @@ class _Frontier:
             ok = self.eligible(codes, cand, self.stage)
             new = cand[ok]
             if self.mortal:
-                self.on[self._key(self.dead)] = 2
                 self.dead = cand[~ok]
-                self.on[self._key(self.dead)] = 3
+                self.on[self._key(self.dead)] = 2
         self.on[self._key(new)] = 1
         self.wave = new
         return new

@@ -6,6 +6,7 @@ type so the verification harness can compare them pairwise.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 GENERATOR_TAGS = ("simulate", "recurrence", "closedform", "genfunc", "fixture")
 
@@ -36,14 +37,9 @@ class IntSequence:
             raise IndexError(f"index {n} outside [{self.offset}, {self.last_index}]")
         return self.terms[n - self.offset]
 
-    def partial_sums(self, label: str = "") -> "IntSequence":
+    def partial_sums(self) -> "IntSequence":
         """Running totals, keeping offset and assuming zero terms below it."""
-        out = []
-        acc = 0
-        for t in self.terms:
-            acc += t
-            out.append(acc)
-        return IntSequence(self.offset, tuple(out), label or self.label, self.generator)
+        return IntSequence(self.offset, tuple(accumulate(self.terms)), self.label, self.generator)
 
     def truncated(self, n_max: int) -> "IntSequence":
         """Restrict to indices <= n_max."""

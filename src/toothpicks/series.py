@@ -25,12 +25,8 @@ class PowerSeries:
         return len(self.coeffs)
 
     @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([0] * order)
-
-    @classmethod
     def one(cls, order: int) -> "PowerSeries":
-        s = cls.zero(order)
+        s = cls([0] * order)
         s.coeffs[0] = 1
         return s
 
@@ -38,9 +34,6 @@ class PowerSeries:
         if not 0 <= n < self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         head = ", ".join(map(str, self.coeffs[:8]))
@@ -99,43 +92,23 @@ def product_expand(gamma: int, delta: int, start_k: int, order: int) -> PowerSer
     """Expand prod_{k >= start_k} (1 + gamma*x**(2**k - 1) + delta*x**(2**k)).
 
     Only factors with 2**k - 1 < order can contribute and are multiplied in.
+    Each factor updates the coefficients from their old values, so the
+    k = 0 factor, (1 + gamma) + delta*x, needs no case of its own.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if start_k < 0:
         raise ValueError("start_k must be >= 0")
-    c = [0] * order
-    c[0] = 1
-    k = start_k
-    while (1 << k) - 1 < order:
-        e1 = (1 << k) - 1
-        e2 = 1 << k
-        if e1 == 0:
-            # Degenerate k = 0 factor: (1 + gamma) + delta*x.
-            for j in range(order - 1, 0, -1):
-                c[j] = (1 + gamma) * c[j] + delta * c[j - 1]
-            c[0] *= 1 + gamma
-        else:
-            for j in range(order - 1, e1 - 1, -1):
-                v = c[j] + gamma * c[j - e1]
-                if j >= e2:
-                    v += delta * c[j - e2]
-                c[j] = v
-        k += 1
+    c = [1] + [0] * (order - 1)
+    for k in range(start_k, order.bit_length()):  # 2**k - 1 < order
+        e = (1 << k) - 1
+        c[e:] = [a + gamma * b + delta * d for a, b, d in zip(c[e:], c, [0] + c)]
     return PowerSeries(c)
 
 
 def geometric_weight_product(delta: int, order: int) -> PowerSeries:
     """Expand prod_{k >= 0} (1 + delta*x**(2**k)); coefficient n is delta**wt(n)."""
-    c = [0] * order
-    c[0] = 1
-    k = 0
-    while (1 << k) < order:
-        e = 1 << k
-        for j in range(order - 1, e - 1, -1):
-            c[j] += delta * c[j - e]
-        k += 1
-    return PowerSeries(c)
+    return product_expand(0, delta, 0, order)
 
 
 def theorem4_series(

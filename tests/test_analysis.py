@@ -237,9 +237,9 @@ def _dict_faces(edges):
 def _assert_walk_matches_the_dict_walk(edges):
     bounded, unbounded = analysis.extract_faces(edges)
     want_bounded, want_unbounded = _dict_faces(zip(*(a.tolist() for a in edges[1:])))
-    assert sorted(face[:5] for face in bounded) == sorted(want_bounded)
+    assert sorted(map(tuple, bounded[:, :5].tolist())) == sorted(want_bounded)
     assert unbounded == want_unbounded and type(unbounded) is int
-    assert type(bounded) is list and all(type(v) is int for face in bounded for v in face)
+    assert bounded.dtype == np.int64 and bounded.shape[1] == 6
     return bounded
 
 
@@ -251,7 +251,7 @@ def _assert_closing_stages(edges, bounded):
         if d >= 2:  # the same edge, from its other end
             x, y, d = x + STEPS[d][0], y + STEPS[d][1], d - 2
         least[x, y, d] = min(st, least.get((x, y, d), st))
-    for turns, x0, y0, x1, y1, closing in bounded:
+    for turns, x0, y0, x1, y1, closing in bounded.tolist():
         if turns != 4:
             continue
         perimeter = [(x, y, 0) for x in range(x0, x1) for y in (y0, y1)]
@@ -271,7 +271,8 @@ def test_face_walk_matches_the_dict_walk(variant):
 
 
 def test_face_walk_matches_the_dict_walk_on_random_edge_sets():
-    assert analysis.extract_faces(_staged([])) == ([], 0)
+    bounded, unbounded = analysis.extract_faces(_staged([]))
+    assert bounded.shape == (0, 6) and unbounded == 0
     rng = random.Random(20)
     for _ in range(300):
         w = rng.randrange(1, 7)

@@ -153,8 +153,10 @@ def test_simulate_grid(capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--variant", "uw4", "--stages", "128"],
     ["analyze", "--check", "tree", "--variant", "uw4", "--nmax", "128"],
-], ids=["simulate", "analyze-tree"])
-def test_a_grid_past_the_box_budget_exits_two_before_allocating(capsys, monkeypatch, argv):
+    ["render", "--variant", "uw", "--stages", "40000", "--out", "x.svg"],
+], ids=["simulate", "analyze-tree", "render"])
+def test_a_grid_past_the_box_budget_exits_two_before_allocating(
+        tmp_path, capsys, monkeypatch, argv):
     zeros = np.zeros
 
     def small_zeros(shape, *args, **kwargs):
@@ -162,10 +164,12 @@ def test_a_grid_past_the_box_budget_exits_two_before_allocating(capsys, monkeypa
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(gridca.np, "zeros", small_zeros)
+    monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "GiB budget" in err
+    assert list(tmp_path.iterdir()) == []  # no file written
 
 
 def test_render_writes_svg(tmp_path, capsys):

@@ -206,20 +206,18 @@ def test_maltese_run_matches_the_dict_stepper():
 
 
 def test_maltese_dead_codes_and_the_stage_2_mod_3_exception():
-    # The stepper codes a cell DEAD in the last stage 3 and an older DEAD
-    # cell 2.  In stages n = 2 (mod 3) only a code-2 neighbor dooms.
-    # Growth from the seed has not met that case (run to n = 2000), so
-    # the eligibility test is also called on two made-up candidates, far
-    # apart, each with an ON west neighbor and a DEAD north one.
+    # The stepper codes a cell ON 1 and DEAD 2.  A DEAD neighbor dooms a
+    # candidate except in stages n = 2 (mod 3).  The eligibility test is
+    # called on two made-up candidates, far apart, each with an ON west
+    # neighbor; only the first has a DEAD north one.
     grid = CellGrid(MALTESE).grow(20)
     stage, coords, is_on = grid.cells()
     frontier = grid._frontier
-    expected = np.where(is_on, 1, np.where(stage == 20, 3, 2))
-    assert (frontier.on[frontier._key(coords)] == expected).all()
+    assert (frontier.on[frontier._key(coords)] == np.where(is_on, 1, 2)).all()
     cells = np.array([(5, 0), (0, 5)])
-    codes = np.array([(0, 1, 2, 0), (0, 1, 3, 0)], dtype=np.uint8)
+    codes = np.array([(0, 1, 2, 0), (0, 1, 0, 0)], dtype=np.uint8)
     assert [gridca._maltese_eligible(codes, cells, n).tolist() for n in (4, 5, 6)] == [
-        [False, False], [False, True], [False, False]]
+        [False, True], [True, True], [False, True]]
 
 
 def test_maltese_states_monotone():

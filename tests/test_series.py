@@ -34,6 +34,8 @@ def test_basic_ring_ops():
         PowerSeries([1, 1]).exact_div_scalar(2)
     with pytest.raises(ValueError):
         PowerSeries([])
+    with pytest.raises(ValueError):
+        PowerSeries.one(0)
 
 
 def test_toothpick_series():

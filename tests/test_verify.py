@@ -263,7 +263,7 @@ def test_layer_contracts_the_benchmark_relies_on(monkeypatch):
     monkeypatch.setattr(analysis, "extract_faces", lambda *a: walked.append(real(*a)) or walked[-1])
     assert analysis.detect_rectangles(engine.grow("toothpick", 3)).count == 2
     bounded, unbounded = walked[0]
-    assert isinstance(bounded, list) and len(bounded) == 2 and isinstance(unbounded, int)
+    assert len(bounded) == 2 and isinstance(unbounded, int)
     assert analysis.rectangle_counts_by_stage(s) == [0, 0, 0, 2, 4, 4]
     grid = gridca.CellGrid(gridca.MALTESE).grow(5)
     assert analysis.tree_check(grid) and analysis.tree_check(s)
