@@ -164,7 +164,7 @@ def main() -> int:
             seq = fetch_bfile(name, online=True).truncated(PIN_N)
             header = f"# {name}: {desc}.\n# Downloaded b-file prefix.\n"
         else:
-            seq = IntSequence(0, tuple(terms), name, "fixture")
+            seq = IntSequence(0, tuple(terms))
             header = HEAD_TABLE.format(name=name, desc=desc)
         write(name, header, seq)
 
@@ -188,7 +188,7 @@ def main() -> int:
                     terms.append(acc)
             else:
                 terms = [fn(i) for i in range(PIN_N + 1)]
-            seq = IntSequence(0, tuple(terms), name, "fixture")
+            seq = IntSequence(0, tuple(terms))
             header = HEAD_FORMULA.format(name=name, desc=desc)
         write(name, header, seq)
 
@@ -196,7 +196,7 @@ def main() -> int:
         seq = fetch_bfile("A170927", online=True).truncated(PIN_N)
         header = "# A170927: ratio-profile minima locations.\n# Downloaded b-file prefix.\n"
     else:
-        seq = IntSequence(1, tuple(A170927), "A170927", "fixture")
+        seq = IntSequence(1, tuple(A170927))
         header = HEAD_TABLE.format(name="A170927", desc="ratio-profile minima locations")
     write("A170927", header, seq)
 

@@ -3,7 +3,7 @@
 Output is plain line-oriented text with no timestamps; exit codes are
 0 on success, 1 when a must-agree binding diverges, 2 on usage errors
 and bad input (including a sequence route that cannot reach the terms
-asked for).
+asked for, and an output path that cannot be written).
 """
 
 import argparse
@@ -103,10 +103,10 @@ def _grow(variant: str, stages: int):
 
 def _cmd_simulate(args) -> int:
     grown = _grow(args.variant, args.stages)
-    print(" ".join(map(str, grown.counts)))
-    if args.dump:
+    if args.dump:  # first, so that a dump that cannot be written prints no counts
         with open(args.dump, "w") as fh:
             fh.write(grown.dump())
+    print(" ".join(map(str, grown.counts)))
     return 0
 
 
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:  # bad input, e.g. a cell grid past its box budget
+    except (ValueError, OSError) as exc:  # bad input, e.g. a grid past its box budget or a bad path
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

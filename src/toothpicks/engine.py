@@ -210,7 +210,7 @@ class _Structure:
         self.stage += 1
 
     def added_per_stage(self) -> IntSequence:
-        return IntSequence(0, tuple(self.counts), self.variant, "simulate")
+        return IntSequence(0, tuple(self.counts))
 
     def total(self) -> int:
         return sum(self.counts)

@@ -247,7 +247,7 @@ class CellGrid:
         return self
 
     def added_per_stage(self) -> IntSequence:
-        return IntSequence(0, tuple(self.counts), self.rule.name, "simulate")
+        return IntSequence(0, tuple(self.counts))
 
     def cells(self) -> tuple[np.ndarray, ...]:
         """Every non-OFF cell, stage-major, as arrays (stage, coords, is_on)."""
@@ -286,8 +286,7 @@ def run(rule: RuleId, n: int) -> IntSequence:
     frontier.reserve(n)
     size = _orbit_cells if frontier.fold else len
     counts = [0] + [size(frontier.step()) for _ in range(n)]
-    label = f"uw_d{rule.dimension}" if rule.name == "uw_von_neumann" else rule.name
-    return IntSequence(0, tuple(counts), label, "simulate")
+    return IntSequence(0, tuple(counts))
 
 
 def build_maltese_by_construction(n: int) -> IntSequence:
@@ -302,7 +301,7 @@ def build_maltese_by_construction(n: int) -> IntSequence:
         raise ValueError("n must be >= 0")
     counts = [0] * (n + 1)
     if n == 0:
-        return IntSequence(0, tuple(counts), "maltese", "simulate")
+        return IntSequence(0, tuple(counts))
     stages = n // 3 + 4
     uw = CellGrid(uw_von_neumann(2)).grow(stages)
     cross = set()
@@ -326,4 +325,4 @@ def build_maltese_by_construction(n: int) -> IntSequence:
         frontier = nxt
     for d in dist.values():
         counts[d + 1] += 1
-    return IntSequence(0, tuple(counts), "maltese", "simulate")
+    return IntSequence(0, tuple(counts))

@@ -2,7 +2,9 @@
 
 Identical inputs yield identical bytes: elements follow the dump-format
 order, colors come from a fixed 16-entry palette keyed by stage mod 16,
-and there are no timestamps or random ids.
+and there are no timestamps or random ids.  Every element is placed by
+one pixel map, `_to_px`, from doubled units: a unit segment, a Y arm and
+a cell side are each two doubled units long.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,14 @@ PALETTE = (
     "#637939", "#8c6d31", "#7b4173", "#3182bd",
 )
 
-SQRT3_2 = 0.8660254037844386
+SQRT3 = 1.7320508075688772
+
+# The class of a stage's elements in each color mode, indexed by stage mod 16.
+_CLASSES = {"by-stage": tuple(f"s{i}" for i in range(16)), "monochrome": ("s",) * 16}
+
+# A Y arm's (x0, y0, x1, y1), axial and relative to its center: the
+# center, then the tip.
+_Y_EXTENTS = {f"y{i}": (0, 0, ax, ay) for i, (ax, ay) in enumerate(Y_ARMS)}
 
 
 @dataclass(frozen=True)
@@ -31,7 +40,7 @@ class RenderConfig:
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if self.color_mode not in ("by-stage", "monochrome"):
+        if self.color_mode not in _CLASSES:
             raise ValueError(f"unknown color mode: {self.color_mode!r}")
 
 
@@ -39,6 +48,14 @@ def _fmt(v: float) -> str:
     if float(v).is_integer():
         return str(int(v))
     return f"{v:.4f}".rstrip("0").rstrip(".")
+
+
+def _to_px(box, cfg: RenderConfig):
+    """The map from doubled-unit (x, y) to formatted pixel (x, y) strings:
+    y grows downward from the top of `box`, inside a margin of one unit."""
+    mnx, _, _, mxy = box
+    px, pad = cfg.scale / 2, cfg.scale
+    return lambda x, y: (_fmt((x - mnx) * px + pad), _fmt((mxy - y) * px + pad))
 
 
 def _style(cfg: RenderConfig, kind: str) -> list[str]:
@@ -54,10 +71,6 @@ def _style(cfg: RenderConfig, kind: str) -> list[str]:
     out.append(".exposed { fill: none; stroke: #ff0000; }")
     out.append("</style>")
     return out
-
-
-def _class_for(cfg: RenderConfig, stage: int) -> str:
-    return f"s{stage % 16}" if cfg.color_mode == "by-stage" else "s"
 
 
 def _document(body: list[str], box, cfg: RenderConfig, kind: str) -> str:
@@ -79,104 +92,70 @@ def _document(body: list[str], box, cfg: RenderConfig, kind: str) -> str:
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
+def _y_box(structure) -> tuple:
+    """Doubled Euclidean (min_x, min_y, max_x, max_y) over every Y's center
+    and arm tips."""
+    _, x, y, _ = structure.placements()
+    ax, ay = np.array(((0, 0),) + Y_ARMS).T
+    ex = (2 * x + y)[:, None] + (2 * ax + ay)
+    ey = y[:, None] + ay
+    return int(ex.min()), int(ey.min()) * SQRT3, int(ex.max()), int(ey.max()) * SQRT3
+
+
 def render_structure(structure, cfg: RenderConfig = RenderConfig()) -> str:
-    """One line element per unit segment; Y structures use three per Y.
+    """One line element per unit segment or Y arm, in dump order (so output
+    is byte-stable), then with `show_exposed` one circle per exposed end.
 
-    Element order is the dump order, so output is byte-stable.
+    Both lattices take one pixel map: a Y structure's axial (x, y) is drawn
+    at doubled Euclidean (2x + y, sqrt(3) y), so an arm is two doubled
+    units long, like a unit segment.
     """
-    if structure.variant == "y":
-        return _render_y(structure, cfg)
     rows = structure.segments()
-    box = bounding_box(structure) if rows else (0, 0, 0, 0)
-    mnx, _, _, mxy = box
-    px = cfg.scale / 2
-    pad = cfg.scale
-
-    def to_px(x, y):
-        return (x - mnx) * px + pad, (mxy - y) * px + pad
-
+    axial = structure.variant == "y"
+    box = (_y_box if axial else bounding_box)(structure) if rows else (0, 0, 0, 0)
+    to_px = _to_px(box, cfg)
+    place = (lambda x, y: to_px(2 * x + y, y * SQRT3)) if axial else to_px
+    extents = _Y_EXTENTS if axial else EXTENTS
+    classes, width = _CLASSES[cfg.color_mode], _fmt(cfg.scale / 8)
     body = []
     for stage, orient, x, y in rows:
-        x0, y0, x1, y1 = EXTENTS[orient]
-        ax, ay = to_px(x + x0, y + y0)
-        bx, by = to_px(x + x1, y + y1)
-        cls = "seed" if orient == "s" else _class_for(cfg, stage)
-        body.append(
-            f'<line class="{cls}" x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
-            f'x2="{_fmt(bx)}" y2="{_fmt(by)}" stroke-width="{_fmt(cfg.scale / 8)}"/>'
-        )
+        x0, y0, x1, y1 = extents[orient]
+        ax, ay = place(x + x0, y + y0)
+        bx, by = place(x + x1, y + y1)
+        cls = "seed" if orient == "s" else classes[stage % 16]
+        body.append(f'<line class="{cls}" x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
+                    f'stroke-width="{width}"/>')
     if cfg.show_exposed:
+        r = _fmt(cfg.scale / 6)
         for p in sorted(structure.exposed_points()):
-            cx, cy = to_px(*p)
-            body.append(
-                f'<circle class="exposed" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(cfg.scale / 6)}"/>'
-            )
-    return _document(body, box, cfg, "line")
-
-
-def _render_y(structure, cfg: RenderConfig) -> str:
-    # Axial (x, y) -> Euclidean (x + y/2, y * sqrt(3)/2); arms have unit length.
-    pts = []
-    for stage, orient, x, y in structure.segments():
-        ax = Y_ARMS[int(orient[1])]
-        ex, ey = x + y / 2, y * SQRT3_2
-        tx, ty = x + ax[0] + (y + ax[1]) / 2, (y + ax[1]) * SQRT3_2
-        pts.append((stage, ex, ey, tx, ty))
-    if pts:
-        mnx = min(min(p[1], p[3]) for p in pts)
-        mxx = max(max(p[1], p[3]) for p in pts)
-        mny = min(min(p[2], p[4]) for p in pts)
-        mxy = max(max(p[2], p[4]) for p in pts)
-    else:
-        mnx = mny = mxx = mxy = 0
-    box = (2 * mnx, 2 * mny, 2 * mxx, 2 * mxy)  # doubled, like the square case
-    px = cfg.scale
-    pad = cfg.scale
-    body = []
-    for stage, ex, ey, tx, ty in pts:
-        cls = _class_for(cfg, stage)
-        body.append(
-            f'<line class="{cls}" x1="{_fmt((ex - mnx) * px + pad)}" '
-            f'y1="{_fmt((mxy - ey) * px + pad)}" '
-            f'x2="{_fmt((tx - mnx) * px + pad)}" '
-            f'y2="{_fmt((mxy - ty) * px + pad)}" '
-            f'stroke-width="{_fmt(cfg.scale / 8)}"/>'
-        )
+            cx, cy = place(*p)
+            body.append(f'<circle class="exposed" cx="{cx}" cy="{cy}" r="{r}"/>')
     return _document(body, box, cfg, "line")
 
 
 def render_grid(grid: CellGrid, cfg: RenderConfig = RenderConfig()) -> str:
     """One rect per ON cell; DEAD cells are drawn as distinct cross marks.
 
-    The element-count contract (one rect per active cell) is what the
-    golden tests pin down.
+    Cell (x, y) is the doubled square (2x, 2y)..(2x + 2, 2y + 2), placed by
+    the structures' pixel map.  The element-count contract (one rect per
+    active cell) is what the golden tests pin down.
     """
     if grid.dimension != 2:
         raise ValueError("only two-dimensional grids can be rendered")
     stage, coords, is_on = grid.cells()
     order = np.lexsort(coords.T[::-1])
-    box = (coords.min(axis=0), coords.max(axis=0)) if len(coords) else ((0, 0),) * 2
-    (mnx, mny), (mxx, mxy) = np.array(box).tolist()
-    px = cfg.scale
-    pad = cfg.scale
-
-    def corner(cx, cy):
-        return (cx - mnx) * px + pad, (mxy - cy) * px + pad
-
+    lo, hi = (coords.min(axis=0), coords.max(axis=0)) if len(coords) else (np.zeros(2, int),) * 2
+    box = (*(2 * lo).tolist(), *(2 * hi + 2).tolist())
+    to_px = _to_px(box, cfg)
+    classes, side, back = _CLASSES[cfg.color_mode], _fmt(cfg.scale), _fmt(-cfg.scale)
     body = []
-    for (cx, cy), on, st in zip(coords[order].tolist(), is_on[order].tolist(), stage[order].tolist()):
-        x, y = corner(cx, cy)
+    for (cx, cy), on, st in zip(*(a[order].tolist() for a in (coords, is_on, stage))):
+        x, y = to_px(2 * cx, 2 * cy + 2)  # the top left corner
         if on:
-            cls = _class_for(cfg, st)
-            body.append(
-                f'<rect class="{cls}" x="{_fmt(x)}" y="{_fmt(y)}" '
-                f'width="{_fmt(px)}" height="{_fmt(px)}"/>'
-            )
+            body.append(f'<rect class="{classes[st % 16]}" x="{x}" y="{y}" '
+                        f'width="{side}" height="{side}"/>')
         else:
-            body.append(
-                f'<path class="dead" d="M {_fmt(x)} {_fmt(y)} l {_fmt(px)} {_fmt(px)} '
-                f'M {_fmt(x + px)} {_fmt(y)} l {_fmt(-px)} {_fmt(px)}"/>'
-            )
-    # A cell is one unit wide: two doubled units.
-    return _document(body, (2 * mnx, 2 * mny, 2 * mxx + 2, 2 * mxy + 2), cfg, "rect")
+            right, _ = to_px(2 * cx + 2, 0)
+            body.append(f'<path class="dead" d="M {x} {y} l {side} {side} '
+                        f'M {right} {y} l {back} {side}"/>')
+    return _document(body, box, cfg, "rect")

@@ -1,14 +1,12 @@
-"""Finite integer-sequence prefixes with provenance.
+"""Finite integer-sequence prefixes.
 
 Every generator in this package (simulation, recurrence, closed form,
 generating function, bundled fixture) hands back the same small value
 type so the verification harness can compare them pairwise.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-
-GENERATOR_TAGS = ("simulate", "recurrence", "closedform", "genfunc", "fixture")
 
 
 @dataclass(frozen=True)
@@ -17,13 +15,9 @@ class IntSequence:
 
     offset: int
     terms: tuple[int, ...]
-    label: str = ""
-    generator: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.generator and self.generator not in GENERATOR_TAGS:
-            raise ValueError(f"unknown generator tag: {self.generator!r}")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -39,12 +33,12 @@ class IntSequence:
 
     def partial_sums(self) -> "IntSequence":
         """Running totals, keeping offset and assuming zero terms below it."""
-        return IntSequence(self.offset, tuple(accumulate(self.terms)), self.label, self.generator)
+        return IntSequence(self.offset, tuple(accumulate(self.terms)))
 
     def truncated(self, n_max: int) -> "IntSequence":
         """Restrict to indices <= n_max."""
         keep = max(0, n_max - self.offset + 1)
-        return IntSequence(self.offset, self.terms[:keep], self.label, self.generator)
+        return IntSequence(self.offset, self.terms[:keep])
 
 
 def first_divergence(a: IntSequence, b: IntSequence) -> tuple[int, int, int] | None:

@@ -30,7 +30,7 @@ OEIS_URL = "https://oeis.org/{id}/b{num}.txt"
 # -- b-file format -----------------------------------------------------------
 
 
-def parse_bfile(text: str, label: str = "") -> IntSequence:
+def parse_bfile(text: str) -> IntSequence:
     """Parse OEIS b-file text: `index value` lines, '#' comments allowed.
 
     Indices must be consecutive from the first line's offset.
@@ -57,7 +57,7 @@ def parse_bfile(text: str, label: str = "") -> IntSequence:
         expected += 1
     if offset is None:
         raise ValueError("empty b-file")
-    return IntSequence(offset, tuple(terms), label, "fixture")
+    return IntSequence(offset, tuple(terms))
 
 
 def format_bfile(seq: IntSequence) -> str:
@@ -72,7 +72,7 @@ def load_fixture(name: str) -> IntSequence:
         text = path.read_text()
     except FileNotFoundError:
         raise KeyError(f"no bundled fixture named {name!r}") from None
-    return parse_bfile(text, label=name)
+    return parse_bfile(text)
 
 
 def fetch_bfile(oeis_id: str, online: bool = False, cache_dir: str | None = None) -> IntSequence:
@@ -96,7 +96,7 @@ def fetch_bfile(oeis_id: str, online: bool = False, cache_dir: str | None = None
         blob = os.path.join(cache_dir, index[oeis_id])
         if os.path.exists(blob):
             with open(blob) as fh:
-                return parse_bfile(fh.read(), label=oeis_id)
+                return parse_bfile(fh.read())
     import hashlib
     import urllib.request
 
@@ -110,7 +110,7 @@ def fetch_bfile(oeis_id: str, online: bool = False, cache_dir: str | None = None
     index[oeis_id] = blob_name
     with open(index_path, "w") as fh:
         json.dump(index, fh, indent=0, sort_keys=True)
-    return parse_bfile(text, label=oeis_id)
+    return parse_bfile(text)
 
 
 # -- bindings ----------------------------------------------------------------
@@ -214,17 +214,17 @@ class Route(NamedTuple):
 
 def _from_prefix(route):
     fn, offset = route.fn, route.offset
-    return lambda n: IntSequence(offset, tuple(fn(n)), generator="recurrence")
+    return lambda n: IntSequence(offset, tuple(fn(n)))
 
 
 def _from_scalar(route):
     fn = route.fn
-    return lambda n: IntSequence(0, tuple(fn(i) for i in range(n + 1)), generator="closedform")
+    return lambda n: IntSequence(0, tuple(fn(i) for i in range(n + 1)))
 
 
 def _from_series(route):
     fn = route.fn
-    return lambda n: IntSequence(0, tuple(fn(n + 1).coeffs), generator="genfunc")
+    return lambda n: IntSequence(0, tuple(fn(n + 1).coeffs))
 
 
 def _from_sim(route):
@@ -294,7 +294,7 @@ def _faces_added(variant):
 
         totals = [0] + rectangle_counts_by_stage(engine.grow(variant, n))
         added = (b - a for a, b in zip(totals, totals[1:]))
-        return IntSequence(0, tuple(added), f"{variant}_faces", "simulate")
+        return IntSequence(0, tuple(added))
 
     return make
 

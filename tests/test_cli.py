@@ -180,6 +180,19 @@ def test_render_writes_svg(tmp_path, capsys):
     assert out_file.read_text().count("<line") == 23
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--variant", "y", "--stages", "3", "--dump"],
+    ["render", "--variant", "toothpick", "--stages", "3", "--out"],
+], ids=["simulate-dump", "render"])
+def test_an_unwritable_output_path_exits_two_and_prints_nothing(tmp_path, capsys, argv):
+    path = tmp_path / "no-such-dir" / "x"
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{argv[0]}: ") and "no-such-dir" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("variant", ["uw1", "uw3", "uw4"])
 def test_render_refuses_grids_off_the_plane(tmp_path, capsys, monkeypatch, variant):
     def no_growth(*_):

@@ -1,9 +1,10 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from toothpicks import closedform as cf
-from toothpicks.engine import grow, new_structure
+from toothpicks.engine import VARIANTS, grow, new_structure
 from toothpicks.gridca import (
     MALTESE,
     MOORE8,
@@ -64,6 +65,17 @@ def test_t_and_y_render():
     assert render_structure(grow("y", 2)).count("<line") == 12  # 3 per Y
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_circle_per_exposed_end_on_a_drawn_line_end(variant):
+    structure = grow(variant, 5)
+    svg = render_structure(structure, RenderConfig(scale=7, show_exposed=True))
+    ends = set(re.findall(r'x1="([^"]+)" y1="([^"]+)"', svg))
+    ends |= set(re.findall(r'x2="([^"]+)" y2="([^"]+)"', svg))
+    circles = re.findall(r'<circle class="exposed" cx="([^"]+)" cy="([^"]+)"', svg)
+    assert len(circles) == len(structure.exposed_points()) > 0
+    assert set(circles) <= ends
+
+
 def test_three_dimensional_grid_rejected():
     with pytest.raises(ValueError):
         render_grid(CellGrid(uw_von_neumann(3)).grow(2))
@@ -78,6 +90,10 @@ def test_three_dimensional_grid_rejected():
         ("y_n6.svg", lambda: render_structure(grow("y", 6))),
         ("toothpick_n5_mono_exposed.svg", lambda: render_structure(
             grow("toothpick", 5), RenderConfig(color_mode="monochrome", show_exposed=True))),
+        ("toothpick_n6_scale7_exposed.svg", lambda: render_structure(
+            grow("toothpick", 6), RenderConfig(scale=7, show_exposed=True))),
+        ("corner_n7_scale7_exposed.svg", lambda: render_structure(
+            grow("corner", 7), RenderConfig(scale=7, show_exposed=True))),
         ("uw_n4.svg", lambda: render_grid(CellGrid(uw_von_neumann(2)).grow(4))),
         ("maltese_n5.svg", lambda: render_grid(CellGrid(MALTESE).grow(5))),
         ("corner_n7.dump", lambda: grow("corner", 7).dump()),
