@@ -26,16 +26,6 @@ class RectangleReport:
     rectangles: tuple[tuple[int, int, int, int], ...]  # doubled (x0, y0, x1, y1)
 
 
-def _find(parent: dict, a):
-    """Union-find root of a; every node on the path is relinked to it."""
-    root = a
-    while parent[root] != root:
-        root = parent[root]
-    while parent[a] != root:
-        parent[a], a = root, parent[a]
-    return root
-
-
 def _corner_wall_edges(x, y):
     """The excluded-quadrant boundary acts as a wall for corner faces.
 
@@ -43,19 +33,28 @@ def _corner_wall_edges(x, y):
     axes (their mirror images in the full structure are real toothpicks),
     so both rays enter the arrangement, extended past the bounding box of
     the edges that start at (x, y).  Returned as edge arrays
-    (stage, x, y, d) at stage -1, before the structure's own.
+    (stage, x, y, d) at stage -1, before the structure's own, each ray
+    outward from the origin so that the walls grow as one piece.
     """
-    ys = np.arange(min(int(y.min()), 0) - 2, 0)
-    xs = np.arange(min(int(x.min()), 0) - 2, 0)
+    ys = np.arange(-1, min(int(y.min()), 0) - 3, -1)
+    xs = np.arange(-1, min(int(x.min()), 0) - 3, -1)
     wx = np.concatenate([np.zeros_like(ys), xs])
     wy = np.concatenate([ys, np.zeros_like(xs)])
     wd = np.concatenate([np.ones_like(ys), np.zeros_like(xs)])
     return np.full_like(wx, -1), wx, wy, wd
 
 
+# Segment variants whose faces are read; the corner structure adds the
+# excluded quadrant's walls.
+FACE_VARIANTS = ("toothpick", "corner")
+
+
 def _face_edges(structure):
-    """A structure's unit edges as arrays (stage, x, y, d), stage-major;
-    a corner structure's walls come first, at stage -1."""
+    """A plain or corner structure's unit edges as arrays (stage, x, y, d),
+    stage-major; a corner structure's walls come first, at stage -1."""
+    if structure.variant not in FACE_VARIANTS:
+        raise ValueError("faces are read only on the square-lattice plain and corner "
+                         f"structures, not {structure.variant!r}")
     edges = structure.unit_edges()
     if structure.variant == "corner":
         walls = _corner_wall_edges(edges[1], edges[2])
@@ -133,18 +132,6 @@ def _run_starts(a):
     return np.concatenate([[True], a[1:] != a[:-1]])
 
 
-# Segment variants whose faces are read; the corner structure adds the
-# excluded quadrant's walls.
-FACE_VARIANTS = ("toothpick", "corner")
-
-
-def _walked_edges(structure):
-    """`_face_edges` of a structure whose faces are walked."""
-    if structure.variant not in FACE_VARIANTS:
-        raise ValueError("face extraction applies to the plain and corner variants")
-    return _face_edges(structure)
-
-
 def _rectangles(edges) -> np.ndarray:
     """The walked bounded faces, each checked to be a rectangle (4 turns);
     any other shape raises."""
@@ -164,7 +151,7 @@ def detect_rectangles(structure) -> RectangleReport:
     A bounded face with any shape other than a plain axis-aligned
     rectangle (4 turns, no spikes) raises NonRectangularFaceError.
     """
-    rects = sorted(map(tuple, _rectangles(_walked_edges(structure))[:, 1:5].tolist()))
+    rects = sorted(map(tuple, _rectangles(_face_edges(structure))[:, 1:5].tolist()))
     return RectangleReport(len(rects), tuple(rects))
 
 
@@ -180,7 +167,7 @@ def rectangles_by_stage(structure) -> list[int]:
     checked; a face split at a later stage makes the counts differ and
     raises NonRectangularFaceError.
     """
-    return _rectangles_by_stage(_walked_edges(structure), structure.stage)
+    return _rectangles_by_stage(_face_edges(structure), structure.stage)
 
 
 def _rectangles_by_stage(edges, last: int) -> list[int]:
@@ -196,24 +183,22 @@ def _rectangles_by_stage(edges, last: int) -> list[int]:
 
 
 def rectangle_counts_by_stage(structure) -> list[int]:
-    """R(0..stage) by Euler's formula, added stage by stage.
-
-    Bounded faces of a planar graph number E - V + C, counted here per
-    stage from numpy edge arrays (`_euler_counts`).
-    """
+    """R(0..stage) of a toothpick or corner structure by Euler's formula,
+    E - V + 1 at each stage (`_euler_counts`)."""
     return _euler_counts(_face_edges(structure), structure.stage)
 
 
 def _euler_counts(edges, last: int) -> list[int]:
-    """E - V + C after each stage 0..last of a stage-major edge list.
+    """E - V + C after each stage 0..last of a stage-major edge list that
+    grows as one piece, as a structure's does.
 
-    Edges at stage -1 (the corner walls) come first; their own count,
-    zero, is taken off every later one.  V and E are counted at the
-    stage that brings them.  For C, each vertex hangs from the other end
-    of the edge that first reached it, unless that end is new too: then
-    it starts a component.  Only an edge whose two ends were both there
-    before it can join two components; those that join two different
-    trees of that static forest go, in order, through the union-find.
+    Each element after stage 1 is centred on an end of an earlier one, and
+    a segment's first unit edge ends at its centre, so every edge after the
+    first touches an earlier vertex: exactly one vertex is older than the
+    other end of the edge that first reached it.  Then every stage with a
+    vertex is connected, C = 1; an edge list that does not grow as one
+    piece raises ValueError.  The corner walls (stage -1) come first, and
+    their own count, zero, is taken off every later one.
     """
     stage, x, y, d = edges
     if not len(d):
@@ -225,35 +210,13 @@ def _euler_counts(edges, last: int) -> list[int]:
     mny = ey.min()
     keys = (ex - ex.min()) * (ey.max() - mny + 1) + (ey - mny)
     _, first, vert = np.unique(keys, return_index=True, return_inverse=True)
-    other = vert[first ^ 1]
-    hangs = first[other] < first
-    root = np.where(hangs, other, np.arange(len(first)))
-    while True:
-        up = root[root]
-        if np.array_equal(up, root):
-            break
-        root = up
+    if (first[vert[first ^ 1]] > first).sum() != 1:
+        raise ValueError("the edges do not grow as one piece from the first")
     bins = stage + 1  # stage -1 is bin 0
-    a, b = vert[0::2], vert[1::2]
-    pos = np.arange(0, len(ex), 2)
-    closing = (first[a] < pos) & (first[b] < pos)
-    ra, rb, at = root[a[closing]], root[b[closing]], bins[closing]
-    cross = ra != rb
-    merges = np.zeros(last + 2, dtype=np.int64)
-    parent = {}
-    for p, q, n in zip(ra[cross].tolist(), rb[cross].tolist(), at[cross].tolist()):
-        parent.setdefault(p, p)
-        parent.setdefault(q, q)
-        rp, rq = _find(parent, p), _find(parent, q)
-        if rp != rq:
-            parent[rp] = rq
-            merges[n] += 1
-    vbins = bins[first >> 1]
     E = np.bincount(bins, minlength=last + 2).cumsum()
-    V = np.bincount(vbins, minlength=last + 2).cumsum()
-    C = np.bincount(vbins[~hangs], minlength=last + 2).cumsum() - merges.cumsum()
-    faces = E - V + C
-    return np.where(V > 0, faces - faces[0], 0)[1:].tolist()
+    V = np.bincount(bins[first >> 1], minlength=last + 2).cumsum()
+    faces = E - V + (V > 0)
+    return (faces - faces[0])[1:].tolist()
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="cross-check generators against each other")
     ver.add_argument("--binding", help="verify one binding instead of all")
     ver.add_argument("--nmax", type=_at_least(0), default=256)
-    ver.add_argument("--online", action="store_true", help="allow b-file fetching")
     ver.add_argument("--json", action="store_true", help="emit a JSON report")
 
     ren = sub.add_parser("render", help="render a structure or grid as SVG")
@@ -178,6 +177,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.show_exposed and args.variant in GRID_VARIANTS:
+        print(f"render: the grid {args.variant} does not read --show-exposed", file=sys.stderr)
+        return 2
     cfg = render.RenderConfig(
         scale=args.scale, color_mode=args.color_mode, show_exposed=args.show_exposed
     )
@@ -193,6 +195,9 @@ def _cmd_analyze(args) -> int:
     if args.variant is not None and args.variant not in readable:
         print(f"analyze: --check {args.check} does not read --variant {args.variant}",
               file=sys.stderr)
+        return 2
+    if args.csv and args.check != "limit-sample":
+        print(f"analyze: --check {args.check} does not read --csv", file=sys.stderr)
         return 2
     variant = args.variant or default
     if args.check == "ratio-bound":

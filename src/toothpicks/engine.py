@@ -76,22 +76,19 @@ _TOOTHPICKS = ((("v", 0, 0),), (("h", 0, 0),))
 _STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # E N W S
 
 
-class _SquareLattice(dict):
-    """A table keyed by square-lattice orient: a Y arm is refused."""
-
-    def __missing__(self, orient):
-        raise ValueError(f"no square-lattice geometry for orient {orient!r}")
-
-
-# Doubled (min_x, min_y, max_x, max_y) of a square-lattice segment,
-# relative to its (x, y); the corner seed runs east from its left end.
-EXTENTS = _SquareLattice(s=(0, 0, 1, 0), v=(0, -1, 0, 1), h=(-1, 0, 1, 0))
-# The same segments as unit edges (dx, dy, d) of the doubled lattice,
-# d indexing _STEPS: east along a horizontal, north along a vertical.
-UNIT_EDGES = _SquareLattice({
+# The two ends (x0, y0, x1, y1) of each orient, relative to its (x, y):
+# a square-lattice segment's doubled, min then max (the corner seed runs
+# east from its left end); a Y arm's axial, its center then its tip.
+EXTENTS = dict(s=(0, 0, 1, 0), v=(0, -1, 0, 1), h=(-1, 0, 1, 0),
+               **{f"y{i}": (0, 0, ax, ay) for i, (ax, ay) in enumerate(Y_ARMS)})
+# The square-lattice segments as unit edges (dx, dy, d) of the doubled
+# lattice, d indexing _STEPS: east along a horizontal, north along a vertical.
+UNIT_EDGES = {
     o: tuple((x, y0, 0) for x in range(x0, x1)) + tuple((x0, y, 1) for y in range(y0, y1))
-    for o, (x0, y0, x1, y1) in EXTENTS.items()
-})
+    for o, (x0, y0, x1, y1) in EXTENTS.items() if o in ("s", "h", "v")
+}
+# Both ends of every segment or arm, as (dx, dy, k) with k = 0, 1.
+_ENDS = {o: ((x0, y0, 0), (x1, y1, 1)) for o, (x0, y0, x1, y1) in EXTENTS.items()}
 
 
 def _t_tables():
@@ -261,7 +258,15 @@ class _Structure:
 
         A Y arm has no unit edges, so a Y structure raises ValueError.
         """
+        if self.variant == "y":
+            raise ValueError("Y arms have no square-lattice unit edges")
         return self._drawn(UNIT_EDGES, self.placements(), True)
+
+    def ends(self) -> tuple[np.ndarray, ...]:
+        """Both ends of every drawn segment or Y arm, in placement order, as
+        int64 arrays (stage, x, y, k): k is 0 for the start of its
+        `EXTENTS` row and 1 for the end."""
+        return self._drawn(_ENDS, self.placements(), True)
 
     def exposed_points(self) -> set[tuple[int, int]]:
         xs, ys = np.nonzero(self.occ == 1)
@@ -289,11 +294,12 @@ def grow(variant: str, stages: int, fast: bool | None = None) -> _Structure:
 
 def bounding_box(structure: _Structure) -> tuple[int, int, int, int]:
     """Doubled (min_x, min_y, max_x, max_y) over all square-lattice segments."""
-    _, x, y, d = structure.unit_edges()
-    if not len(d):
+    if structure.variant == "y":
+        raise ValueError("Y arms have no square-lattice bounding box")
+    _, x, y, _ = structure.ends()
+    if not len(x):
         raise ValueError("empty structure has no bounding box")
-    # An edge runs east (d = 0) or north (d = 1) from (x, y).
-    return int(x.min()), int(y.min()), int((x + 1 - d).max()), int((y + d).max())
+    return x.min().item(), y.min().item(), x.max().item(), y.max().item()
 
 
 @dataclass(frozen=True)

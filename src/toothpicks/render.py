@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EXTENTS, Y_ARMS, bounding_box
+from .engine import EXTENTS
 from .gridca import CellGrid
 
 PALETTE = (
@@ -25,10 +25,6 @@ SQRT3 = 1.7320508075688772
 
 # The class of a stage's elements in each color mode, indexed by stage mod 16.
 _CLASSES = {"by-stage": tuple(f"s{i}" for i in range(16)), "monochrome": ("s",) * 16}
-
-# A Y arm's (x0, y0, x1, y1), axial and relative to its center: the
-# center, then the tip.
-_Y_EXTENTS = {f"y{i}": (0, 0, ax, ay) for i, (ax, ay) in enumerate(Y_ARMS)}
 
 
 @dataclass(frozen=True)
@@ -92,16 +88,6 @@ def _document(body: list[str], box, cfg: RenderConfig, kind: str) -> str:
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
-def _y_box(structure) -> tuple:
-    """Doubled Euclidean (min_x, min_y, max_x, max_y) over every Y's center
-    and arm tips."""
-    _, x, y, _ = structure.placements()
-    ax, ay = np.array(((0, 0),) + Y_ARMS).T
-    ex = (2 * x + y)[:, None] + (2 * ax + ay)
-    ey = y[:, None] + ay
-    return int(ex.min()), int(ey.min()) * SQRT3, int(ex.max()), int(ey.max()) * SQRT3
-
-
 def render_structure(structure, cfg: RenderConfig = RenderConfig()) -> str:
     """One line element per unit segment or Y arm, in dump order (so output
     is byte-stable), then with `show_exposed` one circle per exposed end.
@@ -112,14 +98,18 @@ def render_structure(structure, cfg: RenderConfig = RenderConfig()) -> str:
     """
     rows = structure.segments()
     axial = structure.variant == "y"
-    box = (_y_box if axial else bounding_box)(structure) if rows else (0, 0, 0, 0)
+    # The box spans every drawn end; Python scalars keep `_fmt` off numpy.
+    _, x, y, _ = structure.ends()
+    x, sy = (2 * x + y, SQRT3) if axial else (x, 1)
+    box = (0, 0, 0, 0)
+    if len(x):
+        box = (x.min().item(), y.min().item() * sy, x.max().item(), y.max().item() * sy)
     to_px = _to_px(box, cfg)
     place = (lambda x, y: to_px(2 * x + y, y * SQRT3)) if axial else to_px
-    extents = _Y_EXTENTS if axial else EXTENTS
     classes, width = _CLASSES[cfg.color_mode], _fmt(cfg.scale / 8)
     body = []
     for stage, orient, x, y in rows:
-        x0, y0, x1, y1 = extents[orient]
+        x0, y0, x1, y1 = EXTENTS[orient]
         ax, ay = place(x + x0, y + y0)
         bx, by = place(x + x1, y + y1)
         cls = "seed" if orient == "s" else classes[stage % 16]

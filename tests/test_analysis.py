@@ -140,24 +140,30 @@ def test_euler_count_matches_the_dict_union_find(variant):
         assert type(got) is list and all(type(c) is int for c in got)
 
 
-def test_euler_count_merges_two_components():
+def test_euler_count_refuses_two_components():
     square = lambda x, y: [(x, y, 0), (x, y + 1, 0), (x, y, 1), (x + 1, y, 1)]
-    path = lambda y: [(x, y, 0) for x in range(1, 5)]
-    # Two unit squares (C = 2 at stage 1), a path joining them, and a
-    # second path, which closes one more face.
-    stages = [square(0, 0), square(5, 0), path(1), path(0)]
-    assert _dict_euler(stages) == [1, 2, 2, 3]
-    assert analysis._euler_counts(_staged(stages), 3) == [1, 2, 2, 3]
+    # Two unit squares apart (C = 2 at stage 1): the count reads C = 1,
+    # so an edge list that does not grow as one piece is refused.
+    stages = [square(0, 0), square(5, 0)]
+    assert _dict_euler(stages) == [1, 2]
+    with pytest.raises(ValueError, match="one piece"):
+        analysis._euler_counts(_staged(stages), 1)
 
 
 def test_a_face_split_later_is_an_error():
     # A 2 x 1 rectangle closed at stage 1 and split in two at stage 2: the
     # final walk sees two squares closed at stage 2, Euler one face at stage 1.
-    stages = [[], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (2, 0, 1)], [(1, 0, 1)]]
+    # Stage 1 lists the bottom, then both sides, then the top, so that each
+    # edge touches an earlier one.
+    stages = [[], [(0, 0, 0), (1, 0, 0), (0, 0, 1), (2, 0, 1), (0, 1, 0), (1, 1, 0)], [(1, 0, 1)]]
     assert _dict_euler(stages) == [0, 1, 2]
     with pytest.raises(analysis.NonRectangularFaceError, match="stage 1"):
         analysis._rectangles_by_stage(_staged(stages), 2)
     assert analysis._rectangles_by_stage(_staged(stages[:2]), 1) == [0, 1]
+    # In the order bottom, top, sides, the top starts a second piece: refused.
+    unordered = [[], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (2, 0, 1)], [(1, 0, 1)]]
+    with pytest.raises(ValueError, match="one piece"):
+        analysis._rectangles_by_stage(_staged(unordered), 2)
 
 
 def test_non_rectangular_face_is_an_error():
@@ -504,6 +510,9 @@ def test_quadrant_Q():
 def test_detect_rectangles_rejects_other_variants():
     with pytest.raises(ValueError):
         analysis.detect_rectangles(grow("t", 3))
+    for variant in ("t", "leftist"):
+        with pytest.raises(ValueError, match="square.lattice"):
+            analysis.rectangle_counts_by_stage(grow(variant, 3))
     # Y arms have no square-lattice unit edges or extents
     with pytest.raises(ValueError, match="square.lattice"):
         analysis.rectangle_counts_by_stage(grow("y", 3))

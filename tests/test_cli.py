@@ -135,6 +135,30 @@ def test_analyze_refuses_a_variant_its_check_does_not_read(capsys, monkeypatch, 
     assert "does not read --variant" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["render", "--variant", "uw", "--stages", "3", "--out", "x.svg", "--show-exposed"],
+     "--show-exposed"),
+    (["analyze", "--check", "ratio-bound", "--csv"], "--csv"),
+    (["analyze", "--check", "local-minima", "--csv"], "--csv"),
+    (["analyze", "--check", "rectangles", "--nmax", "8", "--csv"], "--csv"),
+    (["analyze", "--check", "tree", "--nmax", "8", "--csv"], "--csv"),
+    (["verify", "--binding", "toothpick", "--online"], "--online"),
+], ids=["render-grid-exposed", "ratio-bound-csv", "local-minima-csv", "rectangles-csv",
+        "tree-csv", "verify-online"])
+def test_an_option_the_command_does_not_read_exits_two(tmp_path, capsys, monkeypatch, argv, flag):
+    def no_growth(*_):
+        raise AssertionError("grew a structure for a refused command")
+
+    monkeypatch.setattr(gridca.CellGrid, "grow", no_growth)
+    monkeypatch.setattr(engine, "grow", no_growth)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+    assert list(tmp_path.iterdir()) == []  # no file written
+
+
 def test_simulate_and_dump(tmp_path, capsys):
     dump = tmp_path / "s.dump"
     code, out, _ = run(capsys, "simulate", "--variant", "toothpick",
