@@ -253,7 +253,6 @@ def ratio_bound_check(n_max: int) -> RatioBoundReport:
 class RatioSample:
     x: Fraction  # i / 2**k
     value: Fraction  # T(n) / n**2 at n = 2**k + i
-    is_local_min: bool
 
 
 @dataclass(frozen=True)
@@ -279,17 +278,9 @@ def sample_limit_function(k: int) -> LimitFunctionSample:
     T = rec.prefix("T", 2 * base)
     values = [Fraction(T[base + i], (base + i) ** 2) for i in range(base)]
     min_i = min(range(base), key=values.__getitem__)
-    samples = tuple(
-        RatioSample(
-            Fraction(i, base),
-            values[i],
-            0 < i < base - 1 and values[i - 1] > values[i] < values[i + 1],
-        )
-        for i in range(base)
-    )
     return LimitFunctionSample(
         k=k,
-        samples=samples,
+        samples=tuple(RatioSample(Fraction(i, base), v) for i, v in enumerate(values)),
         min_x=Fraction(min_i, base),
         min_value=values[min_i],
         left_value=values[0],

@@ -2,8 +2,9 @@
 
 Output is plain line-oriented text with no timestamps; exit codes are
 0 on success, 1 when a must-agree binding diverges, 2 on usage errors
-and bad input (including a sequence route that cannot reach the terms
-asked for, and an output path that cannot be written).
+and bad input. A handler refuses bad input by raising ValueError before
+it grows, prints or writes anything; `main` reports that, and an output
+path that cannot be written, as `<command>: <reason>` on stderr.
 """
 
 import argparse
@@ -27,11 +28,15 @@ GRID_VARIANTS = {
 # render_grid draws two-dimensional grids only.
 PLANE_GRIDS = tuple(name for name, rule in GRID_VARIANTS.items() if rule.dimension == 2)
 
-# The variant each structure check reads when --variant is not given,
-# and the variants it can read; the other checks read none.
-CHECK_VARIANTS = {
-    "tree": ("uw", analysis.TREE_VARIANTS + tuple(GRID_VARIANTS)),
-    "rectangles": ("toothpick", analysis.FACE_VARIANTS),
+# The options each analyze check reads, with its defaults; a variant
+# entry lists the variants the check reads, its default first. A given
+# option that the check does not read is refused.
+CHECK_OPTIONS = {
+    "ratio-bound": {"nmax": 256},
+    "local-minima": {"nmax": 256},
+    "limit-sample": {"k": 14, "csv": False},
+    "rectangles": {"nmax": 256, "variant": analysis.FACE_VARIANTS},
+    "tree": {"nmax": 256, "variant": ("uw", *analysis.TREE_VARIANTS, *GRID_VARIANTS)},
 }
 
 METHOD_ORDER = ("closedform", "recurrence", "genfunc", "simulate")
@@ -81,15 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--show-exposed", action="store_true")
 
     ana = sub.add_parser("analyze", help="run one of the structure analyses")
-    ana.add_argument("--check", required=True,
-                     choices=("ratio-bound", "local-minima", "limit-sample", "rectangles", "tree"))
-    ana.add_argument("--nmax", type=_at_least(1), default=256)
-    ana.add_argument("--k", type=_at_least(1), default=14, help="sample exponent for limit-sample")
+    ana.add_argument("--check", required=True, choices=tuple(CHECK_OPTIONS))
+    ana.add_argument("--nmax", type=_at_least(1))
+    ana.add_argument("--k", type=_at_least(1), help="sample exponent for limit-sample")
     ana.add_argument("--variant",
                      choices=sorted(set(analysis.TREE_VARIANTS) | set(GRID_VARIANTS)),
                      help="structure or grid for the tree check (default uw) or the "
                           "rectangles check (default toothpick)")
-    ana.add_argument("--csv", action="store_true", help="CSV output for limit-sample")
+    ana.add_argument("--csv", action="store_true", default=None,
+                     help="CSV rows for limit-sample, its summary on stderr")
     return ap
 
 
@@ -109,35 +114,36 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_sequence(args) -> int:
+def _binding(name: str):
+    """The registered binding `name`; a ValueError names the known ones."""
     bindings = verify.bindings()
-    if args.name not in bindings:
-        print(f"unknown sequence binding: {args.name!r}", file=sys.stderr)
-        print("known: " + " ".join(sorted(bindings)), file=sys.stderr)
-        return 2
-    binding = bindings[args.name]
+    if name not in bindings:
+        known = " ".join(sorted(bindings))
+        raise ValueError(f"unknown sequence binding: {name!r}; known: {known}")
+    return bindings[name]
+
+
+def _cmd_sequence(args) -> int:
+    binding = _binding(args.name)
     method = METHOD_ALIASES.get(args.method, args.method)
     if method is None:
         tags = [g.tag for g in binding.generators]
         method = next((m for m in METHOD_ORDER if m in tags), tags[0])
     gen = next((g for g in binding.generators if g.tag == method), None)
     if gen is None:
-        print(f"binding {args.name!r} has no {method!r} generator", file=sys.stderr)
-        return 2
+        raise ValueError(f"binding {args.name!r} has no {method!r} generator")
     if args.terms == 0:
         return 0
     # Evaluate only up to the last index asked, and refuse (printing
     # nothing) rather than print a short prefix.
     want_hi = gen.offset + args.terms - 1
     if want_hi > gen.bound:
-        print(f"{args.name} {method} route reaches index {gen.bound}; "
-              f"index {want_hi} asked", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.name} {method} route reaches index {gen.bound}; "
+                         f"index {want_hi} asked")
     seq = gen.make(want_hi).truncated(want_hi)
     if seq.last_index < want_hi:
-        print(f"{args.name} {method} route ends at index {seq.last_index}; "
-              f"index {want_hi} asked", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.name} {method} route ends at index {seq.last_index}; "
+                         f"index {want_hi} asked")
     if args.format == "plain":
         print(" ".join(str(v) for v in seq.terms))
     elif args.format == "bfile":
@@ -149,21 +155,8 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    bindings = verify.bindings()
-    if args.binding:
-        if args.binding not in bindings:
-            print(f"unknown binding: {args.binding!r}", file=sys.stderr)
-            return 2
-        selected = [bindings[args.binding]]
-    else:
-        selected = list(bindings.values())
-    failed = False
-    reports = []
-    for binding in selected:
-        rep = verify.crosscheck(binding, n_max=args.nmax)
-        reports.append(rep)
-        if not rep.agreed and binding.must_agree:
-            failed = True
+    selected = [_binding(args.binding)] if args.binding is not None else verify.bindings().values()
+    reports = [verify.crosscheck(binding, n_max=args.nmax) for binding in selected]
     if args.json:
         import json
 
@@ -173,13 +166,12 @@ def _cmd_verify(args) -> int:
             flag = "" if rep.must_agree else " [informational]"
             for line in rep.lines():
                 print(line + flag)
-    return 1 if failed else 0
+    return 1 if any(rep.must_agree and not rep.agreed for rep in reports) else 0
 
 
 def _cmd_render(args) -> int:
     if args.show_exposed and args.variant in GRID_VARIANTS:
-        print(f"render: the grid {args.variant} does not read --show-exposed", file=sys.stderr)
-        return 2
+        raise ValueError(f"the grid {args.variant} does not read --show-exposed")
     cfg = render.RenderConfig(
         scale=args.scale, color_mode=args.color_mode, show_exposed=args.show_exposed
     )
@@ -190,42 +182,48 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _check_options(args) -> dict:
+    """The options `args.check` reads, given or defaulted; a ValueError
+    names every given option that the check does not read."""
+    reads = CHECK_OPTIONS[args.check]
+    given = {o: v for o in ("variant", "nmax", "k", "csv") if (v := getattr(args, o)) is not None}
+    unread = [f"does not read --{o}" + ("" if v is True else f" {v}") for o, v in given.items()
+              if o not in reads or isinstance(reads[o], tuple) and v not in reads[o]]
+    if unread:
+        raise ValueError(f"--check {args.check} " + "; ".join(unread))
+    return {o: given.get(o, d[0] if isinstance(d, tuple) else d) for o, d in reads.items()}
+
+
 def _cmd_analyze(args) -> int:
-    default, readable = CHECK_VARIANTS.get(args.check, (None, ()))
-    if args.variant is not None and args.variant not in readable:
-        print(f"analyze: --check {args.check} does not read --variant {args.variant}",
-              file=sys.stderr)
-        return 2
-    if args.csv and args.check != "limit-sample":
-        print(f"analyze: --check {args.check} does not read --csv", file=sys.stderr)
-        return 2
-    variant = args.variant or default
+    opt = _check_options(args)
     if args.check == "ratio-bound":
-        rep = analysis.ratio_bound_check(args.nmax)
+        rep = analysis.ratio_bound_check(opt["nmax"])
         print(f"ratio bound holds for 1 <= n <= {rep.n_max}")
         print("equality exactly at: " + " ".join(map(str, rep.equality_indices)))
         return 0
     if args.check == "local-minima":
-        print(" ".join(map(str, analysis.local_minima(args.nmax))))
+        print(" ".join(map(str, analysis.local_minima(opt["nmax"]))))
         return 0
     if args.check == "limit-sample":
-        ls = analysis.sample_limit_function(args.k)
-        if args.csv:
+        ls = analysis.sample_limit_function(opt["k"])
+        # With --csv, stdout holds only the x,value rows.
+        summary = sys.stderr if opt["csv"] else sys.stdout
+        if opt["csv"]:
             for s in ls.samples:
                 print(f"{s.x.numerator}/{s.x.denominator},{s.value.numerator}/{s.value.denominator}")
-        print(f"k={ls.k} samples={len(ls.samples)}")
-        print(f"min at x={ls.min_x} = {float(ls.min_x):.6f}, value={float(ls.min_value):.7f}")
-        print(f"endpoints: f(0)={float(ls.left_value):.6f} f(1)={float(ls.right_value):.6f}")
+        print(f"k={ls.k} samples={len(ls.samples)}",
+              f"min at x={ls.min_x} = {float(ls.min_x):.6f}, value={float(ls.min_value):.7f}",
+              f"endpoints: f(0)={float(ls.left_value):.6f} f(1)={float(ls.right_value):.6f}",
+              sep="\n", file=summary)
         return 0
+    grown = _grow(opt["variant"], opt["nmax"])
     if args.check == "rectangles":
-        rep = analysis.detect_rectangles(_grow(variant, args.nmax))
-        print(f"bounded faces after {args.nmax} stages: {rep.count}, all rectangles")
+        rep = analysis.detect_rectangles(grown)
+        print(f"bounded faces after {opt['nmax']} stages: {rep.count}, all rectangles")
         return 0
-    if args.check == "tree":
-        ok = analysis.tree_check(_grow(variant, args.nmax))
-        print(f"{variant} at n={args.nmax}: {'tree' if ok else 'NOT a tree'}")
-        return 0
-    raise AssertionError(args.check)
+    ok = analysis.tree_check(grown)
+    print(f"{opt['variant']} at n={opt['nmax']}: {'tree' if ok else 'NOT a tree'}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -243,7 +241,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:  # bad input, e.g. a grid past its box budget or a bad path
+    except (ValueError, OSError) as exc:  # a handler's refusal, a layer's, or a bad path
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

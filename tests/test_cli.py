@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from toothpicks import engine, gridca
+from toothpicks import analysis, engine, gridca
 from toothpicks.cli import main
 from toothpicks.verify import parse_bfile
 
@@ -143,20 +144,44 @@ def test_analyze_refuses_a_variant_its_check_does_not_read(capsys, monkeypatch, 
     (["analyze", "--check", "rectangles", "--nmax", "8", "--csv"], "--csv"),
     (["analyze", "--check", "tree", "--nmax", "8", "--csv"], "--csv"),
     (["verify", "--binding", "toothpick", "--online"], "--online"),
+    (["analyze", "--check", "tree", "--k", "3"], "does not read --k 3"),
+    (["analyze", "--check", "ratio-bound", "--k", "9"], "does not read --k 9"),
+    (["analyze", "--check", "limit-sample", "--k", "2", "--nmax", "5"], "does not read --nmax 5"),
 ], ids=["render-grid-exposed", "ratio-bound-csv", "local-minima-csv", "rectangles-csv",
-        "tree-csv", "verify-online"])
+        "tree-csv", "verify-online", "tree-k", "ratio-bound-k", "limit-sample-nmax"])
 def test_an_option_the_command_does_not_read_exits_two(tmp_path, capsys, monkeypatch, argv, flag):
     def no_growth(*_):
         raise AssertionError("grew a structure for a refused command")
 
     monkeypatch.setattr(gridca.CellGrid, "grow", no_growth)
     monkeypatch.setattr(engine, "grow", no_growth)
+    for check in ("ratio_bound_check", "local_minima", "sample_limit_function"):
+        monkeypatch.setattr(analysis, check, no_growth)
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert flag in err
     assert list(tmp_path.iterdir()) == []  # no file written
+
+
+def test_analyze_limit_sample_summary(capsys):
+    code, out, err = run(capsys, "analyze", "--check", "limit-sample", "--k", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "k=2 samples=4",
+        "min at x=1/4 = 0.250000, value=0.6000000",
+        "endpoints: f(0)=0.687500 f(1)=0.671875",
+    ]
+    assert err == ""
+
+
+def test_analyze_limit_sample_csv_writes_only_rows_to_stdout(capsys):
+    code, out, err = run(capsys, "analyze", "--check", "limit-sample", "--k", "2", "--csv")
+    assert code == 0
+    assert out.splitlines() == ["0/1,11/16", "1/4,3/5", "1/2,23/36", "3/4,5/7"]
+    assert [len(row) for row in csv.reader(out.splitlines())] == [2, 2, 2, 2]
+    assert "k=2 samples=4" in err
 
 
 def test_simulate_and_dump(tmp_path, capsys):
@@ -244,6 +269,23 @@ def test_verify_divergence_is_informational(capsys):
     assert "[informational]" in out
 
 
+def test_verify_whole_registry_diverges_only_where_documented(capsys):
+    code, out, _ = run(capsys, "verify", "--nmax", "20")
+    assert code == 0
+    assert [line for line in out.splitlines() if "DIVERGENCE" in line] == [
+        "maltese_ca: simulate vs closedform [0..20] FIRST DIVERGENCE at n=18: 20 != 12"
+        " [informational]"
+    ]
+
+
+@pytest.mark.parametrize("name", ["nope", ""])
+def test_verify_unknown_binding_exits_two(capsys, name):
+    code, out, err = run(capsys, "verify", "--binding", name)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"verify: unknown sequence binding: {name!r}")
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--binding", "gould", "--nmax", "32",
                        "--json")
@@ -293,7 +335,9 @@ def test_bad_numeric_argument_exits_two(tmp_path, capsys, argv):
     assert not out_file.exists()
 
 
-def _recording_binding(monkeypatch, bound):
+def _recording_binding(monkeypatch, bound, reach=1 << 30):
+    """Register one recurrence route `rec` with the given bound; it
+    returns the terms asked for, up to index `reach`."""
     from toothpicks import cli
     from toothpicks.sequences import IntSequence
     from toothpicks.verify import Generator, SequenceBinding
@@ -302,7 +346,7 @@ def _recording_binding(monkeypatch, bound):
 
     def make(n):
         asked.append(n)
-        return IntSequence(0, tuple(range(n + 1)))
+        return IntSequence(0, tuple(range(min(n, reach) + 1)))
 
     binding = SequenceBinding("rec", None, (Generator("recurrence", make, bound),))
     monkeypatch.setattr(cli.verify, "bindings", lambda: {"rec": binding})
@@ -350,3 +394,20 @@ def test_sequence_past_reach_exits_two_and_prints_nothing(capsys, argv, reach):
     assert code == 2
     assert out == ""
     assert reach in err
+
+
+def test_sequence_route_that_ends_early_exits_two_and_prints_nothing(capsys, monkeypatch):
+    asked = _recording_binding(monkeypatch, bound=8, reach=5)
+    code, out, err = run(capsys, "sequence", "--name", "rec", "--terms", "8")
+    assert code == 2
+    assert out == ""
+    assert err == "sequence: rec recurrence route ends at index 5; index 7 asked\n"
+    assert asked == [7]
+
+
+def test_sequence_route_the_binding_lacks_exits_two(capsys):
+    code, out, err = run(capsys, "sequence", "--name", "rect_r", "--method", "simulate",
+                         "--terms", "3")
+    assert code == 2
+    assert out == ""
+    assert "has no 'simulate' generator" in err
