@@ -217,11 +217,6 @@ def _from_prefix(route):
     return lambda n: IntSequence(offset, tuple(fn(n)))
 
 
-def _from_scalar(route):
-    fn = route.fn
-    return lambda n: IntSequence(0, tuple(fn(i) for i in range(n + 1)))
-
-
 def _from_series(route):
     fn = route.fn
     return lambda n: IntSequence(0, tuple(fn(n + 1).coeffs))
@@ -233,7 +228,7 @@ def _from_sim(route):
 
 _ADAPTERS = {
     "recurrence": _from_prefix,
-    "closedform": _from_scalar,
+    "closedform": _from_prefix,
     "genfunc": _from_series,
     "simulate": _from_sim,
 }
@@ -279,6 +274,11 @@ def _rule(name):
     return functools.partial(rec.prefix, name)
 
 
+def _formula(terms, *params):
+    """The prefix a(0..n) of a closed form, as one range [0, n + 1)."""
+    return lambda n: terms(*params, 0, n + 1)
+
+
 def _local_minima(n):
     from .analysis import local_minima
 
@@ -316,7 +316,7 @@ def bindings() -> dict[str, SequenceBinding]:
             Route("simulate", _counts("toothpick"), SIM),
             Route("simulate", _counts(gridca.TOOTHPICK_DIGRAPH), SIM),
             Route("recurrence", _rule("t"), REC),
-            Route("closedform", cf.t_explicit, REC),
+            Route("closedform", _formula(cf.t_explicit_range), REC),
             Route("genfunc", series.toothpick_gf, GF),
         )),
         _bind("toothpick_T", "A139250", (
@@ -338,16 +338,16 @@ def bindings() -> dict[str, SequenceBinding]:
         )),
         _bind("leftist_l", "A151565", (
             Route("simulate", _counts("leftist"), SIM),
-            Route("closedform", cf.leftist_l, REC),
+            Route("closedform", _formula(cf.leftist_l_range), REC),
         )),
         _bind("leftist_L", "A151566", (
             Route("simulate", _counts("leftist"), SIM, sums=True),
-            Route("closedform", cf.leftist_l, 4096, sums=True),
+            Route("closedform", _formula(cf.leftist_l_range), 4096, sums=True),
         )),
         _bind("uw_u", "A147582", (
             Route("simulate", _counts(gridca.uw_von_neumann(2)), SIM),
             Route("recurrence", _rule("u"), 1 << 20),
-            Route("closedform", cf.uw_u, 1 << 20),
+            Route("closedform", _formula(cf.uw_u_range), 1 << 20),
             Route("genfunc", series.uw_gf, GF),
         )),
         _bind("uw_U", "A147562", (
@@ -356,15 +356,15 @@ def bindings() -> dict[str, SequenceBinding]:
         )),
         _bind("uw_u_d1", None, (
             Route("simulate", _counts(gridca.uw_von_neumann(1)), SIM),
-            Route("closedform", lambda n: cf.uw_d(1, n), REC),
+            Route("closedform", _formula(cf.uw_d_range, 1), REC),
         )),
         _bind("uw_u_d3", None, (
             Route("simulate", _counts(gridca.uw_von_neumann(3)), SIM),
-            Route("closedform", lambda n: cf.uw_d(3, n), REC),
+            Route("closedform", _formula(cf.uw_d_range, 3), REC),
         )),
         _bind("uw_u_d4", None, (
             Route("simulate", _counts(gridca.uw_von_neumann(4)), 64),
-            Route("closedform", lambda n: cf.uw_d(4, n), REC),
+            Route("closedform", _formula(cf.uw_d_range, 4), REC),
         )),
         _bind("rect_rho", "A168131", (
             Route("simulate", _faces_added("corner"), 256),
@@ -395,22 +395,22 @@ def bindings() -> dict[str, SequenceBinding]:
         )),
         _bind("rule942_w", None, (
             Route("simulate", _counts(gridca.RULE942), SIM),
-            Route("closedform", cf.r942_w, REC),
+            Route("closedform", _formula(cf.r942_w_range), REC),
         ), fixture="table7_w"),
         _bind("rule942_delta", None, (
-            Route("closedform", cf.r942_delta, REC),
+            Route("closedform", _formula(cf.r942_delta_range), REC),
         ), fixture="table7_delta"),
         _bind("t_toothpick_tau", "A160173", (
             Route("simulate", _counts("t"), SIM),
-            Route("closedform", cf.ttp_tau, REC),
+            Route("closedform", _formula(cf.ttp_tau_range), REC),
         )),
         _bind("maltese_m", "A151906", (
             Route("simulate", gridca.build_maltese_by_construction, 300),
-            Route("closedform", cf.maltese_m, REC),
+            Route("closedform", _formula(cf.maltese_m_range), REC),
         )),
         _bind("maltese_ca", "A151906", (
             Route("simulate", _counts(gridca.MALTESE), 64),
-            Route("closedform", cf.maltese_m, REC),
+            Route("closedform", _formula(cf.maltese_m_range), REC),
         ), must_agree=False, fixture=None, note=(
             "the reconstructed three-state rules track the construction "
             "oracle through stage 17 and first diverge at stage 18"
@@ -423,7 +423,7 @@ def bindings() -> dict[str, SequenceBinding]:
         )),
         _bind("f_sequence", "A147646", (
             Route("recurrence", _rule("F"), REC),
-            Route("closedform", cf.f_explicit, REC),
+            Route("closedform", _formula(cf.f_explicit_range), REC),
             Route("genfunc", series.f_gf, GF),
         )),
         _bind("a151550", "A151550", (
@@ -432,22 +432,22 @@ def bindings() -> dict[str, SequenceBinding]:
         )),
         _bind("a160573", "A160573", (
             Route("genfunc", series.a160573_gf, GF),
-            Route("closedform", lambda n: cf.hve_a(1, 1, n), REC),
+            Route("closedform", _formula(cf.hve_a_range, 1, 1), REC),
         )),
         _bind("a048883", "A048883", (
-            Route("closedform", cf.a048883, REC),
+            Route("closedform", _formula(cf.a048883_range), REC),
             Route("genfunc", lambda o: series.geometric_weight_product(3, o), GF),
         )),
         _bind("a130665", "A130665", (
-            Route("closedform", cf.a048883, 4096, sums=True),
+            Route("closedform", _formula(cf.a048883_range), 4096, sums=True),
             Route("genfunc", lambda o: series.geometric_weight_product(3, o).divide_one_minus_x(), GF),
         )),
         _bind("gould", "A001316", (
-            Route("closedform", cf.gould, REC),
+            Route("closedform", _formula(cf.gould_range), REC),
             Route("genfunc", lambda o: series.geometric_weight_product(2, o), GF),
         )),
         _bind("hve_terms", "A100661", (
-            Route("closedform", cf.hve_nonzero_terms, REC),
+            Route("closedform", _formula(cf.hve_nonzero_terms_range), REC),
         ), note="fixture is a pinned snapshot of the counting generator"),
         _bind("local_minima", "A170927", (
             Route("recurrence", _local_minima, 12, offset=1),

@@ -85,7 +85,8 @@ def test_linear_totals_match_quadratic_definition(name, fixture, term):
     gen = next(g for g in bindings()[name].generators if g.tag == "closedform")
     seq = gen.make(1024)
     assert seq.offset == 0
-    assert list(seq.terms) == [sum(term(i) for i in range(n + 1)) for n in range(1025)]
+    terms = [term(i) for i in range(1025)]
+    assert list(seq.terms) == [sum(terms[: n + 1]) for n in range(1025)]
     assert first_divergence(seq, load_fixture(fixture)) is None
     assert seq.last_index >= load_fixture(fixture).last_index
 
