@@ -194,27 +194,31 @@ def _euler_counts(edges, last: int) -> list[int]:
 
     Each element after stage 1 is centred on an end of an earlier one, and
     a segment's first unit edge ends at its centre, so every edge after the
-    first touches an earlier vertex: exactly one vertex is older than the
-    other end of the edge that first reached it.  Then every stage with a
-    vertex is connected, C = 1; an edge list that does not grow as one
-    piece raises ValueError.  The corner walls (stage -1) come first, and
-    their own count, zero, is taken off every later one.
+    first touches an earlier vertex: exactly one edge, the first, has two
+    new ends.  Then every stage with a vertex is connected, C = 1; an edge
+    list that does not grow as one piece raises ValueError.  The corner
+    walls (stage -1) come first, and their own count, zero, is taken off
+    every later one.
     """
     stage, x, y, d = edges
     if not len(d):
         return [0] * (last + 1)
-    steps = np.array(_STEPS)
-    # Endpoints in edge order: a0 b0 a1 b1 ...
-    ex = np.stack([x, x + steps[d, 0]], axis=1).ravel()
-    ey = np.stack([y, y + steps[d, 1]], axis=1).ravel()
-    mny = ey.min()
-    keys = (ex - ex.min()) * (ey.max() - mny + 1) + (ey - mny)
-    _, first, vert = np.unique(keys, return_index=True, return_inverse=True)
-    if (first[vert[first ^ 1]] > first).sum() != 1:
+    # Endpoint keys in edge order, a0 b0 a1 b1 ..., on a box one wider than
+    # the starts on each side, so that an end's key is its start's plus a step.
+    span = y.max() - y.min() + 3
+    keys = np.empty(2 * len(d), dtype=np.int64)
+    keys[0::2] = (x - (x.min() - 1)) * span + (y - (y.min() - 1))
+    keys[1::2] = keys[0::2] + (np.array(_STEPS) @ (span, 1))[d]
+    # Whether each endpoint is its vertex's first: a stable sort puts the
+    # first at the start of the vertex's run.
+    order = np.argsort(keys, kind="stable")
+    new = np.empty(len(keys), dtype=bool)
+    new[order] = _run_starts(keys[order])
+    if (new[0::2] & new[1::2]).sum() != 1:
         raise ValueError("the edges do not grow as one piece from the first")
     bins = stage + 1  # stage -1 is bin 0
     E = np.bincount(bins, minlength=last + 2).cumsum()
-    V = np.bincount(bins[first >> 1], minlength=last + 2).cumsum()
+    V = np.bincount(bins[np.flatnonzero(new) >> 1], minlength=last + 2).cumsum()
     faces = E - V + (V > 0)
     return (faces - faces[0])[1:].tolist()
 

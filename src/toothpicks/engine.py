@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .intutil import check_box
 from .sequences import IntSequence
 
 MID = 8
@@ -129,7 +130,9 @@ class _Structure:
     Per stage it touches only the frontier (the ends made in the previous
     stage), so the total work is proportional to the number of elements;
     the plain variant reaches stage 4096 (about 1.1e7 toothpicks) in a
-    few seconds and well under 2 GB.
+    few seconds and well under 2 GB.  An element is kept in 5 bytes (x
+    and y int16, d int8) and a box point in 1; the box takes the cells'
+    `intutil.BOX_BUDGET`, which also keeps |x| and |y| inside int16.
     """
 
     def __init__(self, variant: str):
@@ -143,7 +146,7 @@ class _Structure:
         self._fit(self._arm_reach + 1)
         seed = np.array(self._row.seed, dtype=np.int64)
         self._front = self._key(seed[:, 0], seed[:, 1]) * 8 + seed[:, 2] + 1
-        self._placed = [(np.empty(0, dtype=np.int32),) * 2 + (np.empty(0, dtype=np.int8),)]
+        self._placed = [(np.empty(0, dtype=np.int16),) * 2 + (np.empty(0, dtype=np.int8),)]
         if self._row.half_seed:
             self.occ.ravel()[self._key(np.array([0, 1]), np.array([0, 0]))] = 1
 
@@ -153,10 +156,14 @@ class _Structure:
     def _fit(self, reach: int) -> None:
         # Re-embed the box at half-width 2**j + 2 for the least j that
         # covers `reach`: a box much larger than the structure makes the
-        # scattered updates slower.
+        # scattered updates slower.  Under the budget the side is at most
+        # 46 340, so half is at most 2**14 + 2 and every center fits int16.
         if reach <= self.half:
             return
         half = (1 << max(reach - 3, 0).bit_length()) + 2
+        check_box((2 * half + 1) ** 2,
+                  f"stage {self.stage + 1} of the {self.variant} structure would")
+        assert half <= np.iinfo(np.int16).max, f"half-width {half} overflows int16 placements"
         occ = np.zeros((2 * half + 1,) * 2, dtype=np.uint8)
         lo, side = half - self.half, 2 * self.half + 1
         occ[lo : lo + side, lo : lo + side] = self.occ
@@ -202,7 +209,7 @@ class _Structure:
         flat[ends.take(starts)] += cnt.astype(np.uint8)
         single = tagged.take(starts[cnt == 1])
         self._front = single[single & 7 != 0]
-        self._placed.append((x.astype(np.int32), y.astype(np.int32), dirs.astype(np.int8)))
+        self._placed.append((x.astype(np.int16), y.astype(np.int16), dirs.astype(np.int8)))
         self.counts.append(len(keys))
         self.stage += 1
 

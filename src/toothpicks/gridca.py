@@ -16,6 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .intutil import check_box
 from .sequences import IntSequence
 
 ON = "ON"
@@ -148,10 +149,6 @@ def _orbit_cells(c) -> int:
     return int((perms << (c > 0).sum(axis=1)).sum())
 
 
-# The largest array, in bytes, that `_Frontier.reserve` will allocate.
-BOX_BUDGET = 2 << 30
-
-
 class _Frontier:
     """One rule's cells, grown a stage at a time, as one uint8 code per
     cell in a flat array that `reserve(n)` must size for every stage n
@@ -179,9 +176,7 @@ class _Frontier:
         if half <= self.half:
             return
         size = comb(half + self.dim, self.dim) if self.fold else (2 * half + 1) ** self.dim
-        if size > BOX_BUDGET:
-            raise ValueError(f"{n} stages in dimension {self.dim} need a {size / 2**30:.1f} GiB "
-                             f"box, past the {BOX_BUDGET >> 30} GiB budget")
+        check_box(size, f"{n} stages in dimension {self.dim}")
         if self.fold:
             on = np.zeros(size, dtype=np.uint8)
             on[: self.on.size] = self.on  # a rank does not depend on the bound

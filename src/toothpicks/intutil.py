@@ -1,4 +1,4 @@
-"""Exact integer helpers shared by every engine.
+"""Exact integer helpers and the box budget, shared by every engine.
 
 All quantities in this package are nonnegative integers that must fit in
 128 unsigned bits.  Python integers never wrap around, so the checks here
@@ -6,9 +6,11 @@ exist to turn an out-of-range result into a loud error instead of a
 silently absurd sequence value.
 """
 
-import math
-
 UINT128_MAX = (1 << 128) - 1
+
+# The largest box, in bytes, that a stepper allocates: a cell box of
+# `gridca` or the occupancy box of an `engine` structure.
+BOX_BUDGET = 2 << 30
 
 
 def check_range(value: int) -> int:
@@ -18,31 +20,11 @@ def check_range(value: int) -> int:
     return value
 
 
-def binary_weight(n: int) -> int:
-    """Number of 1 bits in the binary expansion of n (A000120)."""
-    if n < 0:
-        raise ValueError("binary_weight requires n >= 0")
-    return n.bit_count()
-
-
-def binomial(n: int, k: int) -> int:
-    """n choose k, with the convention that k > n gives 0."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    if k > n:
-        return 0
-    return check_range(math.comb(n, k))
-
-
-def decompose_block(n: int) -> tuple[int, int]:
-    """Write n = 2**k + i with 0 <= i < 2**k and return (k, i).
-
-    n = 0 has no such decomposition and is rejected.
-    """
-    if n < 1:
-        raise ValueError("decompose_block requires n >= 1")
-    k = n.bit_length() - 1
-    return k, n - (1 << k)
+def check_box(size: int, what: str) -> None:
+    """Raise ValueError, naming `what`, if a box of `size` bytes is past BOX_BUDGET."""
+    if size > BOX_BUDGET:
+        raise ValueError(f"{what} need a {size / 2**30:.1f} GiB box, "
+                         f"past the {BOX_BUDGET / 2**30:g} GiB budget")
 
 
 def checked_pow(base: int, exp: int) -> int:

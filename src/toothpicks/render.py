@@ -8,6 +8,7 @@ a cell side are each two doubled units long.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -48,10 +49,13 @@ def _fmt(v: float) -> str:
 
 def _to_px(box, cfg: RenderConfig):
     """The map from doubled-unit (x, y) to formatted pixel (x, y) strings:
-    y grows downward from the top of `box`, inside a margin of one unit."""
+    y grows downward from the top of `box`, inside a margin of one unit.
+    Each axis formats a value once per map, so once per document."""
     mnx, _, _, mxy = box
     px, pad = cfg.scale / 2, cfg.scale
-    return lambda x, y: (_fmt((x - mnx) * px + pad), _fmt((mxy - y) * px + pad))
+    fx = cache(lambda x: _fmt((x - mnx) * px + pad))
+    fy = cache(lambda y: _fmt((mxy - y) * px + pad))
+    return lambda x, y: (fx(x), fy(y))
 
 
 def _style(cfg: RenderConfig, kind: str) -> list[str]:

@@ -16,7 +16,8 @@ import pytest
 from toothpicks import analysis, closedform as cf, engine, gridca
 from toothpicks import recurrences as rec
 from toothpicks import series, verify
-from toothpicks.intutil import binary_weight
+
+from int_oracles import binary_weight
 
 
 def _report(num, text):

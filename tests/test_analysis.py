@@ -150,6 +150,67 @@ def test_euler_count_refuses_two_components():
         analysis._euler_counts(_staged(stages), 1)
 
 
+def _unique_euler(edges, last):
+    """The Euler count as it was first written, by np.unique over every
+    endpoint key with its inverse: the reference for `_euler_counts`."""
+    stage, x, y, d = edges
+    if not len(d):
+        return [0] * (last + 1)
+    steps = np.array(STEPS)
+    # Endpoints in edge order: a0 b0 a1 b1 ...
+    ex = np.stack([x, x + steps[d, 0]], axis=1).ravel()
+    ey = np.stack([y, y + steps[d, 1]], axis=1).ravel()
+    mny = ey.min()
+    keys = (ex - ex.min()) * (ey.max() - mny + 1) + (ey - mny)
+    _, first, vert = np.unique(keys, return_index=True, return_inverse=True)
+    if (first[vert[first ^ 1]] > first).sum() != 1:
+        raise ValueError("the edges do not grow as one piece from the first")
+    bins = stage + 1  # stage -1 is bin 0
+    E = np.bincount(bins, minlength=last + 2).cumsum()
+    V = np.bincount(bins[first >> 1], minlength=last + 2).cumsum()
+    faces = E - V + (V > 0)
+    return (faces - faces[0])[1:].tolist()
+
+
+@pytest.mark.parametrize("variant, n", [("toothpick", 512), ("corner", 256)])
+def test_euler_count_matches_the_unique_count(variant, n):
+    edges = analysis._face_edges(grow(variant, n))
+    assert analysis._euler_counts(edges, n) == _unique_euler(edges, n)
+
+
+def _euler_or_refusal(count, edges, last):
+    try:
+        return count(edges, last)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_euler_count_matches_the_unique_count_on_random_edge_lists():
+    rng = random.Random(19)
+    for trial in range(300):
+        # Each edge leaves or enters a vertex already drawn, in any of the
+        # four directions, and may repeat one; every tenth list also gets
+        # an edge apart from the rest, which neither count may accept.
+        x, y = rng.randrange(-9, 9), rng.randrange(-9, 9)
+        rows, verts = [], [(x, y)]
+        for _ in range(rng.randrange(1, 60)):
+            x, y = rng.choice(verts)
+            d = rng.randrange(4)
+            far = (x + STEPS[d][0], y + STEPS[d][1])
+            if rng.random() < 0.5:
+                x, y = x - STEPS[d][0], y - STEPS[d][1]
+                far = (x, y)
+            rows.append((x, y, d))
+            verts.append(far)
+        if trial % 10 == 0:
+            rows.insert(rng.randrange(1, len(rows) + 1), (40, 40, rng.randrange(4)))
+        stages = sorted(rng.randrange(-1, 6) for _ in rows)
+        edges = tuple(np.array([(st, *r) for st, r in zip(stages, rows)], dtype=np.int64).T)
+        want = _euler_or_refusal(_unique_euler, edges, 5)
+        assert _euler_or_refusal(analysis._euler_counts, edges, 5) == want
+        assert isinstance(want, str) == (trial % 10 == 0)
+
+
 def test_a_face_split_later_is_an_error():
     # A 2 x 1 rectangle closed at stage 1 and split in two at stage 2: the
     # final walk sees two squares closed at stage 2, Euler one face at stage 1.

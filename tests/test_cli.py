@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from toothpicks import analysis, engine, gridca
+from toothpicks import analysis, engine, gridca, intutil
 from toothpicks.cli import main
 from toothpicks.verify import parse_bfile
 
@@ -218,6 +218,31 @@ def test_a_grid_past_the_box_budget_exits_two_before_allocating(
     assert code == 2
     assert out == ""
     assert "GiB budget" in err
+    assert list(tmp_path.iterdir()) == []  # no file written
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--variant", "t", "--stages", "300"],
+    ["render", "--variant", "t", "--stages", "300", "--out", "x.svg"],
+    ["analyze", "--check", "rectangles", "--nmax", "300"],
+    ["analyze", "--check", "tree", "--variant", "leftist", "--nmax", "300"],
+], ids=["simulate", "render", "analyze-rectangles", "analyze-tree"])
+def test_a_structure_past_the_box_budget_exits_two_before_allocating(
+        tmp_path, capsys, monkeypatch, argv):
+    budget = 1 << 16
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) < budget, f"allocated a box of shape {shape}"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(intutil, "BOX_BUDGET", budget)
+    monkeypatch.setattr(engine.np, "zeros", small_zeros)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "structure would need" in err and "GiB budget" in err
     assert list(tmp_path.iterdir()) == []  # no file written
 
 

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from toothpicks import closedform as cf
 from toothpicks import recurrences as rec
-from toothpicks.intutil import UINT128_MAX, binary_weight, binomial, decompose_block, exact_div
+from toothpicks.intutil import UINT128_MAX, exact_div
 from toothpicks.verify import bindings, load_fixture
+
+from int_oracles import binary_weight, binomial, decompose_block
 
 
 def test_uw_u_examples():
@@ -100,8 +102,6 @@ def test_closed_forms_match_recurrences_far_out():
 def test_hve_sum_truncation_matches_longer_cutoff():
     # The m <= bit_length(n) + 2 cutoff loses nothing: compare with a
     # much longer explicit sum.
-    from toothpicks.intutil import binomial
-
     for n in range(1 << 12):
         w_long = sum(
             2 ** (binary_weight(n + m) - m) * binomial(binary_weight(n + m), m)

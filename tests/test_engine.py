@@ -1,10 +1,11 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toothpicks import closedform as cf
-from toothpicks import engine
+from toothpicks import engine, intutil
 from toothpicks.engine import (
     Y_ARMS,
     bounding_box,
@@ -45,6 +46,44 @@ DUMP_128_SHA256 = {
     "t": "2386a083a1e3c0386fcf1a3a662d46681f32ed321c9c387bd721a96bf7fab944",
     "y": "41194c3f21534cb427db5d3884d2ff20bf36735fb9757a4d26dc6bac46674ceb",
 }
+
+
+# SHA-256 of the int64 arrays stage, x, y, d of grow(variant, 128).placements(),
+# made while x and y were still kept as int32.
+PLACEMENTS_128_SHA256 = {
+    "toothpick": "db5ac7f74c569206ed616dc986073613455061a0062e0974fdde3e980ed5dba9",
+    "corner": "e770773b4c115f39f9ede3f4de0cb9ee472683d91caf9867ab58dc27241a0e7e",
+    "leftist": "a326af101eace56c8c06b801fdbe3f2b375e1e0713b544b50711174fe17a8f77",
+    "t": "50dd2196c83850b6b9984e7b7c730058038fecdfa7ae963e31c3c0da7842da1a",
+    "y": "2fe4ef9432924fb6e807af37219fb47cd63546b7aeffd5be21e7239d6664eaad",
+}
+
+
+@pytest.mark.parametrize("variant", engine.VARIANTS)
+def test_placements_are_kept_in_five_bytes(variant):
+    s = grow(variant, 64)
+    assert len(s._placed) == 65
+    for x, y, d in s._placed:
+        assert (x.dtype, y.dtype, d.dtype) == (np.int16, np.int16, np.int8)
+    s.grow(64)
+    placed = s.placements()
+    assert all(a.dtype == np.int64 for a in placed)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in placed)).hexdigest()
+    assert digest == PLACEMENTS_128_SHA256[variant]
+
+
+def test_a_reach_past_int16_is_refused_before_allocating(monkeypatch):
+    s = new_structure("toothpick")
+    half = s.half
+    # Under the budget, the reach is refused as a box too large.
+    with pytest.raises(ValueError, match="GiB budget"):
+        s._fit(1 << 15)
+    # With no budget, the int16 bound still stops it before np.zeros.
+    monkeypatch.setattr(intutil, "BOX_BUDGET", 1 << 62)
+    monkeypatch.setattr(engine.np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+    with pytest.raises(AssertionError, match="int16"):
+        s._fit(1 << 15)
+    assert s.half == half
 
 
 def test_counts_match_published_terms():

@@ -2,14 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toothpicks.intutil import (
-    UINT128_MAX,
-    binary_weight,
-    binomial,
-    checked_pow,
-    decompose_block,
-    exact_div,
-)
+from toothpicks.intutil import UINT128_MAX, checked_pow, exact_div
+
+from int_oracles import binary_weight, binomial, decompose_block
 
 
 def test_binary_weight_examples():

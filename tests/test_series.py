@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from toothpicks import closedform as cf
 from toothpicks import recurrences as rec
 from toothpicks import series
-from toothpicks.intutil import binary_weight
 from toothpicks.series import PowerSeries
 from toothpicks.verify import load_fixture
+
+from int_oracles import binary_weight
 
 small_int = st.integers(min_value=-3, max_value=3)
 
