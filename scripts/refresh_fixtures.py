@@ -15,6 +15,7 @@ the downloaded prefix replaces the local generator output.
 import argparse
 import os
 import sys
+from itertools import accumulate
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -168,26 +169,22 @@ def main() -> int:
             header = HEAD_TABLE.format(name=name, desc=desc)
         write(name, header, seq)
 
+    pin = (0, PIN_N + 1)  # the index range [0, PIN_N]
     formula_pins = {
-        "A160173": ("T-toothpick additions per stage tau(n)", cf.ttp_tau),
-        "A151906": ("Maltese-cross cells labeled n", cf.maltese_m),
-        "A048883": ("3**wt(n)", cf.a048883),
-        "A130665": ("partial sums of 3**wt(n)", None),
-        "A001316": ("Gould's sequence 2**wt(n)", cf.gould),
-        "A100661": ("contributing terms in the product-coefficient sum", cf.hve_nonzero_terms),
+        "A160173": ("T-toothpick additions per stage tau(n)", cf.ttp_tau_range(*pin)),
+        "A151906": ("Maltese-cross cells labeled n", cf.maltese_m_range(*pin)),
+        "A048883": ("3**wt(n)", cf.a048883_range(*pin)),
+        "A130665": ("partial sums of 3**wt(n)", accumulate(cf.a048883_range(*pin))),
+        "A001316": ("Gould's sequence 2**wt(n)", cf.gould_range(*pin)),
+        "A100661": (
+            "contributing terms in the product-coefficient sum", cf.hve_nonzero_terms_range(*pin)
+        ),
     }
-    for name, (desc, fn) in formula_pins.items():
+    for name, (desc, terms) in formula_pins.items():
         if args.online:
             seq = fetch_bfile(name, online=True).truncated(PIN_N)
             header = f"# {name}: {desc}.\n# Downloaded b-file prefix.\n"
         else:
-            if name == "A130665":
-                acc, terms = 0, []
-                for i in range(PIN_N + 1):
-                    acc += cf.a048883(i)
-                    terms.append(acc)
-            else:
-                terms = [fn(i) for i in range(PIN_N + 1)]
             seq = IntSequence(0, tuple(terms))
             header = HEAD_FORMULA.format(name=name, desc=desc)
         write(name, header, seq)

@@ -85,6 +85,8 @@ def _in_u128(values: list[int]) -> list[int]:
 
 def prefix(rule: BlockRule | str, n_max: int) -> list[int]:
     """a(0..n_max) for a block rule, or for the row of RULES it names."""
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
     if isinstance(rule, str):
         rule = RULES[rule]
     a = list(rule.seeds[: n_max + 1]) + [0] * (n_max + 1 - len(rule.seeds))

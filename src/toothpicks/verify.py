@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import closedform as cf
 from . import engine
@@ -183,6 +183,8 @@ class VerifyReport:
 
 def crosscheck(binding: SequenceBinding, n_max: int | None = None) -> VerifyReport:
     """Evaluate all generators (each to its own bound) and compare pairwise."""
+    if n_max is not None and n_max < 0:
+        raise ValueError("n must be >= 0")
     seqs = []
     for gen in binding.generators:
         hi = gen.bound if n_max is None else min(gen.bound, n_max)
@@ -201,56 +203,29 @@ def crosscheck(binding: SequenceBinding, n_max: int | None = None) -> VerifyRepo
 # -- the registry ------------------------------------------------------------
 
 
-class Route(NamedTuple):
-    """One route of a registry row.  Its tag picks the adapter that turns
-    `fn` into the Generator's `make`."""
-
-    tag: str  # simulate | recurrence | closedform | genfunc
-    fn: Callable
-    bound: int
-    offset: int = 0
-    sums: bool = False  # the route yields the running totals of what fn makes
-
-
-def _from_prefix(route):
-    fn, offset = route.fn, route.offset
+def _prefix(fn, offset=0):
+    """The maker of a route whose `fn(n)` lists a(offset..n)."""
     return lambda n: IntSequence(offset, tuple(fn(n)))
 
 
-def _from_series(route):
-    fn = route.fn
+def _gf(fn):
+    """The maker of a route whose `fn(order)` is a series product."""
     return lambda n: IntSequence(0, tuple(fn(n + 1).coeffs))
-
-
-def _from_sim(route):
-    return route.fn  # a simulation makes its own IntSequence
-
-
-_ADAPTERS = {
-    "recurrence": _from_prefix,
-    "closedform": _from_prefix,
-    "genfunc": _from_series,
-    "simulate": _from_sim,
-}
 
 
 def _sums(make):
     return lambda n: make(n).partial_sums()
 
 
-def _bind(name, oeis_id, routes, must_agree=True, note="", fixture=""):
-    """One registry row.  Each route is adapted by its tag; the fixture
-    route comes last, from the bundled b-file of the OEIS id unless
-    `fixture` names another file, or is None for no fixture route."""
-    gens = []
-    for r in routes:
-        make = _ADAPTERS[r.tag](r)
-        gens.append(Generator(r.tag, _sums(make) if r.sums else make, r.bound, r.offset))
+def _bind(name, oeis_id, gens, must_agree=True, note="", fixture=""):
+    """One registry row: its generators as listed, then the fixture route,
+    from the bundled b-file of the OEIS id unless `fixture` names another
+    file, or is None for no fixture route."""
     fixture = oeis_id if fixture == "" else fixture
     if fixture:
         seq = load_fixture(fixture)
-        gens.append(Generator("fixture", seq.truncated, seq.last_index, seq.offset))
-    return SequenceBinding(name, oeis_id, tuple(gens), must_agree, note)
+        gens += (Generator("fixture", seq.truncated, seq.last_index, seq.offset),)
+    return SequenceBinding(name, oeis_id, gens, must_agree, note)
 
 
 @functools.lru_cache(maxsize=64)
@@ -271,12 +246,12 @@ def _counts(variant):
 
 
 def _rule(name):
-    return functools.partial(rec.prefix, name)
+    return _prefix(functools.partial(rec.prefix, name))
 
 
 def _formula(terms, *params):
     """The prefix a(0..n) of a closed form, as one range [0, n + 1)."""
-    return lambda n: terms(*params, 0, n + 1)
+    return _prefix(lambda n: terms(*params, 0, n + 1))
 
 
 def _local_minima(n):
@@ -307,150 +282,151 @@ GF = 8192
 def bindings() -> dict[str, SequenceBinding]:
     """The full registry, keyed by binding name; a fresh dict on every call.
 
-    A row is name, OEIS id, routes, must_agree and note (see `_bind`).
-    The table is built on every call, so each route takes the layer
-    functions as the modules bind them at that time.
+    A row is name, OEIS id, its `Generator`s, must_agree and note; the
+    fixture route follows from the OEIS id (see `_bind`).  The table is
+    built on every call, so each route takes the layer functions as the
+    modules bind them at that time.
     """
     rows = (
         _bind("toothpick_t", "A139251", (
-            Route("simulate", _counts("toothpick"), SIM),
-            Route("simulate", _counts(gridca.TOOTHPICK_DIGRAPH), SIM),
-            Route("recurrence", _rule("t"), REC),
-            Route("closedform", _formula(cf.t_explicit_range), REC),
-            Route("genfunc", series.toothpick_gf, GF),
+            Generator("simulate", _counts("toothpick"), SIM),
+            Generator("simulate", _counts(gridca.TOOTHPICK_DIGRAPH), SIM),
+            Generator("recurrence", _rule("t"), REC),
+            Generator("closedform", _formula(cf.t_explicit_range), REC),
+            Generator("genfunc", _gf(series.toothpick_gf), GF),
         )),
         _bind("toothpick_T", "A139250", (
-            Route("simulate", _counts("toothpick"), SIM, sums=True),
-            Route("recurrence", _rule("T"), REC),
-            Route("genfunc", series.toothpick_total_gf, GF),
+            Generator("simulate", _sums(_counts("toothpick")), SIM),
+            Generator("recurrence", _rule("T"), REC),
+            Generator("genfunc", _gf(series.toothpick_total_gf), GF),
         )),
         # Two recurrence routes: the named row and the Theorem-4 instance
         # hold the rule table against the generic family.
         _bind("corner_c", "A152980", (
-            Route("simulate", _counts("corner"), SIM),
-            Route("recurrence", _rule("c"), REC),
-            Route("recurrence", rec.RecurrenceSpec(1, 1, 1, 2).prefix, REC),
-            Route("genfunc", series.corner_gf, GF),
+            Generator("simulate", _counts("corner"), SIM),
+            Generator("recurrence", _rule("c"), REC),
+            Generator("recurrence", _prefix(rec.RecurrenceSpec(1, 1, 1, 2).prefix), REC),
+            Generator("genfunc", _gf(series.corner_gf), GF),
         )),
         _bind("corner_C", "A153006", (
-            Route("simulate", _counts("corner"), SIM, sums=True),
-            Route("recurrence", _rule("c"), REC, sums=True),
+            Generator("simulate", _sums(_counts("corner")), SIM),
+            Generator("recurrence", _sums(_rule("c")), REC),
         )),
         _bind("leftist_l", "A151565", (
-            Route("simulate", _counts("leftist"), SIM),
-            Route("closedform", _formula(cf.leftist_l_range), REC),
+            Generator("simulate", _counts("leftist"), SIM),
+            Generator("closedform", _formula(cf.leftist_l_range), REC),
         )),
         _bind("leftist_L", "A151566", (
-            Route("simulate", _counts("leftist"), SIM, sums=True),
-            Route("closedform", _formula(cf.leftist_l_range), 4096, sums=True),
+            Generator("simulate", _sums(_counts("leftist")), SIM),
+            Generator("closedform", _sums(_formula(cf.leftist_l_range)), 4096),
         )),
         _bind("uw_u", "A147582", (
-            Route("simulate", _counts(gridca.uw_von_neumann(2)), SIM),
-            Route("recurrence", _rule("u"), 1 << 20),
-            Route("closedform", _formula(cf.uw_u_range), 1 << 20),
-            Route("genfunc", series.uw_gf, GF),
+            Generator("simulate", _counts(gridca.uw_von_neumann(2)), SIM),
+            Generator("recurrence", _rule("u"), 1 << 20),
+            Generator("closedform", _formula(cf.uw_u_range), 1 << 20),
+            Generator("genfunc", _gf(series.uw_gf), GF),
         )),
         _bind("uw_U", "A147562", (
-            Route("simulate", _counts(gridca.uw_von_neumann(2)), SIM, sums=True),
-            Route("recurrence", _rule("u"), REC, sums=True),
+            Generator("simulate", _sums(_counts(gridca.uw_von_neumann(2))), SIM),
+            Generator("recurrence", _sums(_rule("u")), REC),
         )),
         _bind("uw_u_d1", None, (
-            Route("simulate", _counts(gridca.uw_von_neumann(1)), SIM),
-            Route("closedform", _formula(cf.uw_d_range, 1), REC),
+            Generator("simulate", _counts(gridca.uw_von_neumann(1)), SIM),
+            Generator("closedform", _formula(cf.uw_d_range, 1), REC),
         )),
         _bind("uw_u_d3", None, (
-            Route("simulate", _counts(gridca.uw_von_neumann(3)), SIM),
-            Route("closedform", _formula(cf.uw_d_range, 3), REC),
+            Generator("simulate", _counts(gridca.uw_von_neumann(3)), SIM),
+            Generator("closedform", _formula(cf.uw_d_range, 3), REC),
         )),
         _bind("uw_u_d4", None, (
-            Route("simulate", _counts(gridca.uw_von_neumann(4)), 64),
-            Route("closedform", _formula(cf.uw_d_range, 4), REC),
+            Generator("simulate", _counts(gridca.uw_von_neumann(4)), 64),
+            Generator("closedform", _formula(cf.uw_d_range, 4), REC),
         )),
         _bind("rect_rho", "A168131", (
-            Route("simulate", _faces_added("corner"), 256),
-            Route("recurrence", _rule("rho"), REC),
+            Generator("simulate", _faces_added("corner"), 256),
+            Generator("recurrence", _rule("rho"), REC),
         )),
         _bind("rect_r", "A160125", (
-            Route("recurrence", _rule("r"), REC),
+            Generator("recurrence", _rule("r"), REC),
         )),
         _bind("rect_R", "A160124", (
-            Route("simulate", _faces_added("toothpick"), SIM, sums=True),
-            Route("recurrence", _rule("r"), REC, sums=True),
+            Generator("simulate", _sums(_faces_added("toothpick")), SIM),
+            Generator("recurrence", _sums(_rule("r")), REC),
         )),
         _bind("eight_v", "A151726", (
-            Route("simulate", _counts(gridca.MOORE8), SIM),
-            Route("recurrence", _rule("v"), REC),
+            Generator("simulate", _counts(gridca.MOORE8), SIM),
+            Generator("recurrence", _rule("v"), REC),
         )),
         _bind("eight_V", "A151725", (
-            Route("simulate", _counts(gridca.MOORE8), SIM, sums=True),
-            Route("recurrence", _rule("v"), REC, sums=True),
+            Generator("simulate", _sums(_counts(gridca.MOORE8)), SIM),
+            Generator("recurrence", _sums(_rule("v")), REC),
         )),
         _bind("eight_v1", "A151747", (
-            Route("simulate", _counts(gridca.MOORE8_CORNER1), SIM),
-            Route("recurrence", _rule("v1"), REC),
+            Generator("simulate", _counts(gridca.MOORE8_CORNER1), SIM),
+            Generator("recurrence", _rule("v1"), REC),
         )),
         _bind("eight_v2", "A151728", (
-            Route("simulate", _counts(gridca.MOORE8_CORNER2), SIM),
-            Route("recurrence", _rule("v2"), REC),
+            Generator("simulate", _counts(gridca.MOORE8_CORNER2), SIM),
+            Generator("recurrence", _rule("v2"), REC),
         )),
         _bind("rule942_w", None, (
-            Route("simulate", _counts(gridca.RULE942), SIM),
-            Route("closedform", _formula(cf.r942_w_range), REC),
+            Generator("simulate", _counts(gridca.RULE942), SIM),
+            Generator("closedform", _formula(cf.r942_w_range), REC),
         ), fixture="table7_w"),
         _bind("rule942_delta", None, (
-            Route("closedform", _formula(cf.r942_delta_range), REC),
+            Generator("closedform", _formula(cf.r942_delta_range), REC),
         ), fixture="table7_delta"),
         _bind("t_toothpick_tau", "A160173", (
-            Route("simulate", _counts("t"), SIM),
-            Route("closedform", _formula(cf.ttp_tau_range), REC),
+            Generator("simulate", _counts("t"), SIM),
+            Generator("closedform", _formula(cf.ttp_tau_range), REC),
         )),
         _bind("maltese_m", "A151906", (
-            Route("simulate", gridca.build_maltese_by_construction, 300),
-            Route("closedform", _formula(cf.maltese_m_range), REC),
+            Generator("simulate", gridca.build_maltese_by_construction, 300),
+            Generator("closedform", _formula(cf.maltese_m_range), REC),
         )),
         _bind("maltese_ca", "A151906", (
-            Route("simulate", _counts(gridca.MALTESE), 64),
-            Route("closedform", _formula(cf.maltese_m_range), REC),
+            Generator("simulate", _counts(gridca.MALTESE), 64),
+            Generator("closedform", _formula(cf.maltese_m_range), REC),
         ), must_agree=False, fixture=None, note=(
             "the reconstructed three-state rules track the construction "
             "oracle through stage 17 and first diverge at stage 18"
         )),
         _bind("y_toothpick", "A160120", (
-            Route("simulate", _counts("y"), 128),
+            Generator("simulate", _counts("y"), 128),
         ), must_agree=False, fixture="y_toothpick_added", note=(
             "no formula oracle exists; the fixture is a pinned engine "
             "snapshot, so this binding is a regression pin, not a proof"
         )),
         _bind("f_sequence", "A147646", (
-            Route("recurrence", _rule("F"), REC),
-            Route("closedform", _formula(cf.f_explicit_range), REC),
-            Route("genfunc", series.f_gf, GF),
+            Generator("recurrence", _rule("F"), REC),
+            Generator("closedform", _formula(cf.f_explicit_range), REC),
+            Generator("genfunc", _gf(series.f_gf), GF),
         )),
         _bind("a151550", "A151550", (
-            Route("genfunc", series.a151550_gf, GF),
-            Route("recurrence", lambda n: rec.RecurrenceSpec(1, 0, 1, 2).prefix(n + 1)[1:], REC),
+            Generator("genfunc", _gf(series.a151550_gf), GF),
+            Generator("recurrence", _prefix(lambda n: rec.RecurrenceSpec(1, 0, 1, 2).prefix(n + 1)[1:]), REC),
         )),
         _bind("a160573", "A160573", (
-            Route("genfunc", series.a160573_gf, GF),
-            Route("closedform", _formula(cf.hve_a_range, 1, 1), REC),
+            Generator("genfunc", _gf(series.a160573_gf), GF),
+            Generator("closedform", _formula(cf.hve_a_range, 1, 1), REC),
         )),
         _bind("a048883", "A048883", (
-            Route("closedform", _formula(cf.a048883_range), REC),
-            Route("genfunc", lambda o: series.geometric_weight_product(3, o), GF),
+            Generator("closedform", _formula(cf.a048883_range), REC),
+            Generator("genfunc", _gf(lambda o: series.geometric_weight_product(3, o)), GF),
         )),
         _bind("a130665", "A130665", (
-            Route("closedform", _formula(cf.a048883_range), 4096, sums=True),
-            Route("genfunc", lambda o: series.geometric_weight_product(3, o).divide_one_minus_x(), GF),
+            Generator("closedform", _sums(_formula(cf.a048883_range)), 4096),
+            Generator("genfunc", _gf(lambda o: series.geometric_weight_product(3, o).divide_one_minus_x()), GF),
         )),
         _bind("gould", "A001316", (
-            Route("closedform", _formula(cf.gould_range), REC),
-            Route("genfunc", lambda o: series.geometric_weight_product(2, o), GF),
+            Generator("closedform", _formula(cf.gould_range), REC),
+            Generator("genfunc", _gf(lambda o: series.geometric_weight_product(2, o)), GF),
         )),
         _bind("hve_terms", "A100661", (
-            Route("closedform", _formula(cf.hve_nonzero_terms_range), REC),
+            Generator("closedform", _formula(cf.hve_nonzero_terms_range), REC),
         ), note="fixture is a pinned snapshot of the counting generator"),
         _bind("local_minima", "A170927", (
-            Route("recurrence", _local_minima, 12, offset=1),
+            Generator("recurrence", _prefix(_local_minima, 1), 12, 1),
         )),
     )
     return {b.name: b for b in rows}

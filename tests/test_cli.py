@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from toothpicks import analysis, engine, gridca, intutil
 from toothpicks.cli import main
 from toothpicks.verify import parse_bfile
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -301,6 +304,8 @@ def test_verify_whole_registry_diverges_only_where_documented(capsys):
         "maltese_ca: simulate vs closedform [0..20] FIRST DIVERGENCE at n=18: 20 != 12"
         " [informational]"
     ]
+    # the whole report: tag order, checked ranges and flags
+    assert out == (GOLDEN / "verify_n20.txt").read_text()
 
 
 @pytest.mark.parametrize("name", ["nope", ""])

@@ -19,6 +19,7 @@ from toothpicks.gridca import (
     run,
     uw_von_neumann,
 )
+from toothpicks import verify
 from toothpicks.verify import load_fixture
 
 
@@ -293,6 +294,14 @@ def test_rule_validation():
     pytest.param(lambda: build_maltese_by_construction(-1), id="maltese-construction"),
     pytest.param(lambda: engine.grow("toothpick", -3), id="engine-toothpick"),
     pytest.param(lambda: engine.grow("corner", -1), id="engine-corner"),
+    *(pytest.param(lambda r=r: rec.prefix(r, -1), id=f"prefix-{r}") for r in rec.RULES),
+    pytest.param(lambda: rec.RecurrenceSpec(1, 1, 1, 2).prefix(-1), id="prefix-spec"),
+    pytest.param(lambda: rec.RecurrenceSpec(1, 1, 1, 1, 0).prefix(-1), id="prefix-spec-k0"),
+    *(pytest.param(lambda b=b: verify.crosscheck(verify.bindings()[b], n_max=-1),
+                   id=f"crosscheck-{b}") for b in verify.bindings()),
+    # refused before any route runs
+    pytest.param(lambda: verify.crosscheck(verify.SequenceBinding("unrun", None, (
+        verify.Generator("simulate", lambda n: 1 / 0, 8),)), n_max=-1), id="crosscheck-unrun"),
 ])
 def test_negative_stage_count_rejected(call):
     with pytest.raises(ValueError, match="n must be >= 0"):

@@ -222,6 +222,12 @@ def test_registry_shape():
         "local_minima",
     ):
         assert any(g.tag == "fixture" for g in regs[name].generators), name
+    # each route yields exactly a(offset..n), as `crosscheck` and `sequence` assume
+    for name, bd in regs.items():
+        for g in bd.generators:
+            for n in (0, 1, 5, min(g.bound, 64)):
+                seq = g.make(n)
+                assert (seq.offset, seq.last_index) == (g.offset, n), (name, g.tag, n)
 
 
 def test_registry_contracts_the_benchmark_relies_on(monkeypatch):
