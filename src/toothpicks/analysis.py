@@ -302,8 +302,8 @@ def local_minima(n_max: int) -> list[int]:
     comparisons are exact cross-multiplications.  A partial final block
     contributes its minimizer only when it is a genuine interior dip.
     """
-    if n_max < 1:
-        return []
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
     T = rec.prefix("T", n_max + 1)
 
     def less(a: int, b: int) -> bool:  # T(a)/a^2 < T(b)/b^2

@@ -2,20 +2,20 @@
 
 Each sequence here is one explicit formula in wt(n) = popcount(n),
 written as `<name>_range(..., lo, hi)`, which returns a(lo), ...,
-a(hi - 1).  A range reads its weights from one table (`weights`), and
-its powers and hve coefficients from small tables keyed by the weights
-that occur; each table entry, or each term built from several, is
-checked against u128 once.  The scalar `<name>(n)` is the same code on
-the one-index range [n, n + 1).  They are the fast generators; the
-verify harness holds them against the engines and recurrences term by
-term.
+a(hi - 1).  A range reads its weights as `int.bit_count` per index
+(`weights`), and its powers and hve coefficients from small tables keyed
+by the weights that occur; each table entry, or each term built from
+several, is checked against u128 once.  Each hve range sums its columns
+under the cutoff of its last index.  The scalar `<name>(n)` is the same
+code on [n, n + 1).  The verify harness holds these fast generators
+against the engines and recurrences term by term.
 """
 
 from functools import partial
 from math import comb
 from operator import add
 
-from .intutil import check_range, checked_pow
+from .intutil import check_range, check_values, checked_pow
 
 
 def _check_span(lo: int, hi: int) -> None:
@@ -24,31 +24,15 @@ def _check_span(lo: int, hi: int) -> None:
 
 
 def weights(lo: int, hi: int) -> list[int]:
-    """wt(n) for lo <= n < hi.
-
-    From a small lo this is a prefix table grown by doubling (the weights
-    of [2**k, 2**(k+1)) are those of [0, 2**k) plus one); a short range
-    far out counts its bits one index at a time.
-    """
+    """wt(n) for lo <= n < hi."""
     _check_span(lo, hi)
-    if lo > hi - lo:
-        return [n.bit_count() for n in range(lo, hi)]
-    wt = [0]
-    while len(wt) < hi:
-        wt += [w + 1 for w in wt[: hi - len(wt)]]
-    return wt[lo:hi]
+    return [n.bit_count() for n in range(lo, hi)]
 
 
 def _lookup(f, keys: list) -> list[int]:
     """[f(k) for k in keys], with f evaluated and range-checked once per distinct key."""
     table = {k: check_range(f(k)) for k in set(keys)}
     return list(map(table.__getitem__, keys))
-
-
-def _in_u128(values: list[int]) -> list[int]:
-    """values, once the largest magnitude among them is checked against u128."""
-    check_range(max(map(abs, values), default=0))
-    return values
 
 
 def _split(seeds: tuple[int, ...], lo: int, hi: int) -> tuple[list[int], int, int]:
@@ -93,30 +77,25 @@ def uw_u_range(lo: int, hi: int) -> list[int]:
 
 
 def _hve_sum(lo: int, hi: int, coef) -> list[int]:
-    """sum(coef(m, wt(n + m)) for m < n.bit_length() + 3) for lo <= n < hi,
-    where coef(m, w) is read as 0 for m > w.
+    """sum(coef(m, wt(n + m)) for m < (hi - 1).bit_length() + 3) for lo <= n < hi,
+    with coef(m, w) read as 0 for w < m: one column per m, from a table of
+    coef(m, .) over the weights it reads, up to the largest weight + 1.
 
-    Every n of one bit-length block has the same cutoff, so over a block
-    the sum is one column per m, read from a table of coef(m, .) over the
-    weights that column reads.  A column with m above every weight is all
-    zeros.
+    The last index's cutoff is exact for every n, as wt(n + m) < m for
+    m >= b + 3, b = n.bit_length(): if m <= 2**b, wt(n + m) <= b + 1 < m;
+    else n + m < 2m, so wt(n + m) <= log2(m) + 2 < m for m >= 5 (and
+    m = 3, 4 occur only for n <= 1, where they hold).
     """
     _check_span(lo, hi)
-    wt = weights(lo, hi + hi.bit_length() + 2)  # wt(n + m) for every n and m read
-    out = []
-    n = lo
-    while n < hi:
-        cut = n.bit_length() + 3
-        size = min(hi, 1 << (cut - 3)) - n
-        window = wt[n - lo : n - lo + size + cut - 1]
-        total = [0] * size
-        for m in range(min(cut, max(window) + 1)):
-            reads = window[m : m + size]
-            col = {w: coef(m, w) if w >= m else 0 for w in set(reads)}
-            total = list(map(add, total, map(col.__getitem__, reads)))
-        out += total
-        n += size
-    return out
+    size = hi - lo
+    cut = (hi - 1).bit_length() + 3
+    wt = weights(lo, hi + cut - 1)  # wt(n + m) for every n and m read
+    total = [0] * size
+    for m in range(min(cut, max(wt) + 1)):
+        reads = wt[m : m + size]
+        col = {w: coef(m, w) if w >= m else 0 for w in set(reads)}
+        total = list(map(add, total, map(col.__getitem__, reads)))
+    return total
 
 
 def hve_a_range(gamma: int, delta: int, lo: int, hi: int) -> list[int]:
@@ -128,12 +107,12 @@ def hve_a_range(gamma: int, delta: int, lo: int, hi: int) -> list[int]:
     m > bit_length(n) + 2 (validated against a longer cutoff in tests).
     Negative gamma or delta give signed values; their magnitude is checked.
     """
-    return _in_u128(_hve_sum(lo, hi, lambda m, w: gamma**m * delta ** (w - m) * comb(w, m)))
+    return check_values(_hve_sum(lo, hi, lambda m, w: gamma**m * delta ** (w - m) * comb(w, m)))
 
 
 def f_explicit_range(lo: int, hi: int) -> list[int]:
     """F(i) = 2 * sum_m 2**(wt(i+m) - m) * C(wt(i+m), m) (A147646)."""
-    return _in_u128([2 * x for x in hve_a_range(1, 2, lo, hi)])
+    return check_values([2 * x for x in hve_a_range(1, 2, lo, hi)])
 
 
 def t_explicit_range(lo: int, hi: int) -> list[int]:
@@ -160,7 +139,7 @@ def t_explicit_range(lo: int, hi: int) -> list[int]:
         out += f_explicit_range(i0, e) if i0 else F[:e]
         if i1 == 1 << k:
             out.append(2 << k)
-    return _in_u128(out)
+    return check_values(out)
 
 
 def leftist_l_range(lo: int, hi: int) -> list[int]:
@@ -186,7 +165,7 @@ def ttp_tau_range(lo: int, hi: int) -> list[int]:
     """
     head, a, b = _split((0, 1, 3), lo, hi)
     p = _lookup(lambda w: checked_pow(3, w - 1), weights(a - 2, b - 1))
-    return head + _in_u128([2 * (x + y) + 1 for x, y in zip(p[1:], p)])
+    return head + check_values([2 * (x + y) + 1 for x, y in zip(p[1:], p)])
 
 
 def maltese_m_range(lo: int, hi: int) -> list[int]:
@@ -232,7 +211,7 @@ def r942_w_range(lo: int, hi: int) -> list[int]:
     s += (1 - s) % 4  # the first n = 4m + 1 >= 5 in the range
     m0 = (s - 1) // 4
     deltas = r942_delta_range(m0, m0 + len(range(s, hi, 4)))
-    out[s - lo :: 4] = _in_u128([u + 4 * x for u, x in zip(out[s - lo :: 4], deltas)])
+    out[s - lo :: 4] = check_values([u + 4 * x for u, x in zip(out[s - lo :: 4], deltas)])
     return out
 
 

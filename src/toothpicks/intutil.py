@@ -3,7 +3,9 @@
 All quantities in this package are nonnegative integers that must fit in
 128 unsigned bits.  Python integers never wrap around, so the checks here
 exist to turn an out-of-range result into a loud error instead of a
-silently absurd sequence value.
+silently absurd sequence value: `check_range` for one value, and
+`check_values` for a list (the closed forms' and the recurrences' terms),
+which checks the largest magnitude once.
 """
 
 UINT128_MAX = (1 << 128) - 1
@@ -14,10 +16,20 @@ BOX_BUDGET = 2 << 30
 
 
 def check_range(value: int) -> int:
-    """Raise OverflowError if value is outside the unsigned 128-bit range."""
+    """Raise OverflowError if value is outside the unsigned 128-bit range.
+
+    The message gives the bit length, not the digits: a value past
+    4300 digits cannot be formatted, and that would raise ValueError."""
     if value < 0 or value > UINT128_MAX:
-        raise OverflowError(f"value out of u128 range: {value}")
+        raise OverflowError(f"value out of u128 range ({value.bit_length()} bits"
+                            f"{', negative' if value < 0 else ''})")
     return value
+
+
+def check_values(values: list[int]) -> list[int]:
+    """values, once the largest magnitude among them is checked against u128."""
+    check_range(max(map(abs, values), default=0))
+    return values
 
 
 def check_box(size: int, what: str) -> None:

@@ -12,7 +12,7 @@ sequence is just this list sliced at powers of two).
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .intutil import UINT128_MAX, exact_div
+from .intutil import check_values, exact_div
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,6 @@ RULES = {
 }
 
 
-def _in_u128(values: list[int]) -> list[int]:
-    if max(map(abs, values), default=0) > UINT128_MAX:
-        raise OverflowError("block-recurrence prefix leaves the u128 range")
-    return values
-
-
 def prefix(rule: BlockRule | str, n_max: int) -> list[int]:
     """a(0..n_max) for a block rule, or for the row of RULES it names."""
     if n_max < 0:
@@ -103,7 +97,7 @@ def prefix(rule: BlockRule | str, n_max: int) -> list[int]:
             if i < size:
                 a[base + i] += fix(k)
         k += 1
-    return _in_u128(a)
+    return check_values(a)
 
 
 @dataclass(frozen=True)
@@ -139,5 +133,5 @@ class RecurrenceSpec:
                         fixes={-1: lambda k: -al * g**2})
         a = prefix(row, n_max)
         if self.start_k == 0:
-            a = _in_u128([(1 + g) * a[n] + (d * a[n - 1] if n else 0) for n in range(n_max + 1)])
+            a = check_values([(1 + g) * a[n] + (d * a[n - 1] if n else 0) for n in range(n_max + 1)])
         return a

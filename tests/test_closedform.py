@@ -269,6 +269,16 @@ def test_weights_match_bit_count_off_zero():
             cf.weights(lo, hi)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 100))
+def test_hve_columns_past_the_cutoff_add_nothing(n):
+    # _hve_sum sums a whole range under its last index's cutoff; that is
+    # exact because wt(n + m) < m from each n's own cutoff on.
+    b = n.bit_length()
+    for m in range(b + 3, b + 70):
+        assert (n + m).bit_count() < m, (n, m)
+
+
 # Each closed form at an index where its value first passes u128.
 PAST_U128 = [
     (cf.t_explicit, (1 << 127) - 1),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from toothpicks import closedform as cf
-from toothpicks import engine, gridca
+from toothpicks import analysis, engine, gridca
 from toothpicks import recurrences as rec
 from toothpicks.gridca import (
     DEAD,
@@ -297,6 +297,8 @@ def test_rule_validation():
     *(pytest.param(lambda r=r: rec.prefix(r, -1), id=f"prefix-{r}") for r in rec.RULES),
     pytest.param(lambda: rec.RecurrenceSpec(1, 1, 1, 2).prefix(-1), id="prefix-spec"),
     pytest.param(lambda: rec.RecurrenceSpec(1, 1, 1, 1, 0).prefix(-1), id="prefix-spec-k0"),
+    pytest.param(lambda: analysis.local_minima(-1), id="local-minima-1"),
+    pytest.param(lambda: analysis.local_minima(-3), id="local-minima-3"),
     *(pytest.param(lambda b=b: verify.crosscheck(verify.bindings()[b], n_max=-1),
                    id=f"crosscheck-{b}") for b in verify.bindings()),
     # refused before any route runs

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toothpicks.intutil import UINT128_MAX, checked_pow, exact_div
+from toothpicks.intutil import UINT128_MAX, check_values, checked_pow, exact_div
 
 from int_oracles import binary_weight, binomial, decompose_block
 
@@ -58,6 +58,10 @@ def test_overflow_checks():
         checked_pow(3, 100)
     with pytest.raises(OverflowError):
         binomial(200, 100)
+    for values in ([1 << 128], [3, -(10**5000)]):  # the second is too long to print
+        with pytest.raises(OverflowError):
+            check_values(values)
+    assert check_values([-UINT128_MAX, UINT128_MAX]) == [-UINT128_MAX, UINT128_MAX]
     assert checked_pow(2, 127) == 1 << 127
     assert checked_pow(0, 0) == 1
     assert UINT128_MAX == (1 << 128) - 1

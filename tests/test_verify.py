@@ -129,7 +129,17 @@ def test_totals_reuse_the_per_stage_simulation(monkeypatch):
 
 
 def test_import_does_not_load_network_modules():
-    code = "import sys, toothpicks; print('urllib.request' in sys.modules)"
+    code = "import sys, toothpicks.verify, toothpicks.cli; print('urllib.request' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(Path(verify.__file__).parents[1])},
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_formula_modules_import_without_numpy():
+    code = ("import sys, toothpicks.closedform, toothpicks.recurrences, toothpicks.series, "
+            "toothpicks.sequences; print('numpy' in sys.modules)")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(Path(verify.__file__).parents[1])},
