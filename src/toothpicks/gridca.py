@@ -6,9 +6,10 @@ Once ON or DEAD a cell never changes.  Every rule, the Maltese cross
 included, is a row of data for one numpy frontier stepper, which
 examines only the unset neighbors of the previous stage's cells.  `run`
 folds the symmetric rules (von Neumann, Moore, one-or-four) to one cell
-per orbit and counts orbit sizes; the rest, and `CellGrid`, use a box.
-A `CellGrid` keeps each stage's new cells as arrays, read through
-`cells()`.
+per orbit and counts orbit sizes; the rest, and `CellGrid`, step flat
+keys in a dense box: a neighbor is a key plus a shift, and only a
+stage's candidates get coordinates.  A `CellGrid` keeps each stage's
+new cells as arrays, read through `cells()`.
 """
 
 from dataclasses import dataclass
@@ -155,8 +156,9 @@ class _Frontier:
     stepped: 1 for ON, 2 for DEAD.
 
     Folded, a cell is kept as its sorted |x|, stands for its whole orbit
-    and sits at its multiset rank; otherwise it sits at its place in a
-    dense box of half-width `half`.
+    and sits at its multiset rank.  Otherwise a cell is its flat key in a
+    dense box of half-width `half`, a neighbor is a key plus a shift, and
+    only candidates get coordinates.  `wave` is the last stage's ON cells.
     """
 
     def __init__(self, rule: RuleId, fold: bool):
@@ -164,7 +166,7 @@ class _Frontier:
         self.offsets = np.array(offsets, dtype=np.int64)
         self.fold = fold and symmetric
         self.dim = rule.dimension
-        self.stage = 0
+        self.stage, self.wave = 0, np.empty(0, dtype=np.int64)
         self.dead = np.empty((0, self.dim), dtype=np.int64)  # set by the last step
         self.half, self.on = 0, np.zeros(1, dtype=np.uint8)  # the origin alone
 
@@ -185,15 +187,39 @@ class _Frontier:
             inner = (slice(half - self.half, half + self.half + 1),) * self.dim
             on[inner] = self.on.reshape((2 * self.half + 1,) * self.dim)
             self.strides = (2 * half + 1) ** np.arange(self.dim - 1, -1, -1)
+            self.shifts = self.offsets @ self.strides
+            self.wave = (self._cells(self.wave) + half) @ self.strides  # into the larger box
         self.on, self.half = on.ravel(), half
 
-    def _around(self, cells):
-        """Every neighbor of each cell, one row each; sorted |x| if folded."""
-        nbrs = (cells[:, None, :] + self.offsets).reshape(-1, self.dim)
-        return np.sort(np.abs(nbrs), axis=1) if self.fold else nbrs
+    def _cells(self, keys):
+        """The box cells at flat keys, one row each."""
+        return np.stack(np.unravel_index(keys, (2 * self.half + 1,) * self.dim), axis=1) - self.half
 
     def _key(self, cells):
         return _multiset_rank(cells) if self.fold else (cells + self.half) @ self.strides
+
+    def _around(self, cells):
+        """Every neighbor of each folded cell as sorted |x|, one row each."""
+        return np.sort(np.abs((cells[:, None, :] + self.offsets).reshape(-1, self.dim)), axis=1)
+
+    def _candidates(self):
+        """The wave's unset neighbors, each once, in key order: (keys, cells)."""
+        if self.fold:
+            nbrs = self._around(self.wave)
+            keys, first = np.unique(self._key(nbrs), return_index=True)
+            unset = self.on[keys] == 0
+            return keys[unset], nbrs[first[unset]]
+        keys = (self.wave[:, None] + self.shifts).ravel()
+        keys.sort()
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        keys = keys[self.on[keys] == 0]
+        return keys, self._cells(keys)
+
+    def _codes(self, keys, cells):
+        """The codes of each candidate's neighbors, a column per offset."""
+        if self.fold:
+            return self.on[self._key(self._around(cells))].reshape(len(cells), -1)
+        return self.on[keys[:, None] + self.shifts]
 
     def step(self) -> np.ndarray:
         """Set the next stage's cells and return its ON ones, one per orbit
@@ -201,20 +227,19 @@ class _Frontier:
         self.stage += 1
         if self.stage == 1:
             new = np.array([self.seed], dtype=np.int64)
+            keys = self._key(new)
         else:
-            nbrs = self._around(self.wave)
-            keys, first = np.unique(self._key(nbrs), return_index=True)
-            cand = nbrs[first[self.on[keys] == 0]]
+            keys, cand = self._candidates()
             if self.blocked is not None:
-                cand = cand[~self.blocked(cand)]
-            codes = self.on[self._key(self._around(cand))].reshape(len(cand), -1)
-            ok = self.eligible(codes, cand, self.stage)
-            new = cand[ok]
+                free = ~self.blocked(cand)
+                keys, cand = keys[free], cand[free]
+            ok = self.eligible(self._codes(keys, cand), cand, self.stage)
             if self.mortal:
                 self.dead = cand[~ok]
-                self.on[self._key(self.dead)] = 2
-        self.on[self._key(new)] = 1
-        self.wave = new
+                self.on[keys[~ok]] = 2
+            new, keys = cand[ok], keys[ok]
+        self.on[keys] = 1
+        self.wave = new if self.fold else keys
         return new
 
 

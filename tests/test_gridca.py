@@ -99,6 +99,37 @@ def _dict_maltese(n):
     return states, counts
 
 
+def _coordinate_stepper(rule, n):
+    """The reference box stepper, which builds every neighbor as a
+    coordinate row, keys it by a matmul and removes duplicates with
+    np.unique; its per-stage (ON, DEAD) arrays, as `CellGrid._placed`."""
+    offsets, eligible, blocked, seed, _, mortal = gridca._counting(rule)
+    offsets, dim, half = np.array(offsets, dtype=np.int64), rule.dimension, n + 2
+    on = np.zeros((2 * half + 1) ** dim, dtype=np.uint8)
+    key = lambda cells: (cells + half) @ (2 * half + 1) ** np.arange(dim - 1, -1, -1)
+    around = lambda cells: (cells[:, None, :] + offsets).reshape(-1, dim)
+    none = np.empty((0, dim), dtype=np.int64)
+    placed = [(none, none)]
+    for stage in range(1, n + 1):
+        dead = none
+        if stage == 1:
+            new = np.array([seed], dtype=np.int64)
+        else:
+            nbrs = around(new)
+            keys, first = np.unique(key(nbrs), return_index=True)
+            cand = nbrs[first[on[keys] == 0]]
+            if blocked is not None:
+                cand = cand[~blocked(cand)]
+            ok = eligible(on[key(around(cand))].reshape(len(cand), -1), cand, stage)
+            new = cand[ok]
+            if mortal:
+                dead = cand[~ok]
+                on[key(dead)] = 2
+        on[key(new)] = 1
+        placed.append((new, dead))
+    return placed
+
+
 def test_uw_counts():
     seq = run(uw_von_neumann(2), 49)
     assert list(seq.terms) == list(load_fixture("A147582").terms)
@@ -200,6 +231,26 @@ def test_maltese_matches_the_dict_stepper(n):
     grid = CellGrid(MALTESE).grow(n)
     assert _states(grid) == states  # cell for cell, state and stage
     assert grid.counts == counts
+
+
+# Every rule CellGrid steps, bar uw4, whose box at 200 stages is too large,
+# then one resumed growth: each call re-keys the wave into a larger box.
+FLAT_KEY_CASES = [(rule, (48,) if rule.dimension == 3 else (200,))
+                  for rule in COUNTING_RULES[:3] + COUNTING_RULES[4:] + (MALTESE,)]
+FLAT_KEY_CASES.append((uw_von_neumann(3), (0, 1, 6, 17, 24)))
+
+
+@pytest.mark.parametrize("rule, calls", FLAT_KEY_CASES,
+                         ids=[f"{rule_id(r)}-{'+'.join(map(str, c))}" for r, c in FLAT_KEY_CASES])
+def test_flat_keys_match_the_coordinate_stepper(rule, calls):
+    grid = CellGrid(rule)
+    for n in calls:
+        grid.grow(n)
+    want = _coordinate_stepper(rule, sum(calls))
+    assert len(grid._placed) == len(want)
+    for stage, (got, placed) in enumerate(zip(grid._placed, want)):
+        for a, b in zip(got, placed):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (stage, a, b)
 
 
 def test_maltese_run_matches_the_dict_stepper():
